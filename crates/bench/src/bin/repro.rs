@@ -313,9 +313,10 @@ fn metrics_main(args: &[String]) -> i32 {
     }
 
     let snapshot = client.metrics();
-    if snapshot.is_empty() {
-        // A healthy server always reports at least its net/ series; an
-        // empty snapshot means the scrape itself failed.
+    if !snapshot.iter().any(|m| m.name == "net/requests") {
+        // A healthy server always reports its request counter; without
+        // it the scrape itself failed (the client's own transport
+        // counters are there either way).
         eprintln!("metrics scrape of {target} returned nothing");
         return 1;
     }

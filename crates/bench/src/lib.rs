@@ -8,10 +8,9 @@
 //! that CI tracks against a checked-in baseline. Schemes under
 //! comparison are constructed through the registry
 //! ([`ltree::default_registry`]), so a new scheme registered there
-//! joins every sweep automatically. The Criterion benches under
-//! `benches/` are reference material for wall-clock runs (gated off:
-//! this workspace builds without external dependencies; [`json`] is the
-//! hand-rolled JSON layer that keeps it that way).
+//! joins every sweep automatically. The workspace builds without
+//! external dependencies; [`json`] is the hand-rolled JSON layer that
+//! keeps it that way.
 //!
 //! Everything is seeded; two runs of `repro` produce identical counter
 //! columns (wall-clock columns naturally vary).

@@ -27,7 +27,7 @@ use crate::Scale;
 use ltree::gen::docedit::run_document_edits;
 use ltree::gen::{generate_edits, standard_profiles, EditProfile, WorkloadReport};
 use ltree::metrics::{HistogramSnapshot, Metric, MetricValue};
-use ltree::{Instrumented, LTreeError, SchemeStats};
+use ltree::{DynScheme, LTreeError, SchemeStats};
 
 /// Version of the `BENCH_sweep.json` schema. Bump on any breaking field
 /// change; consumers must reject versions they do not know.
@@ -128,40 +128,39 @@ pub struct SweepCell {
     pub ops: usize,
     /// The measurement, or the failure message.
     pub outcome: Result<CellMetrics, String>,
-    /// Per-component counter breakdown after the replay
-    /// ([`Instrumented::stats_breakdown`]) — one entry per shard for
-    /// partitioned schemes, `net/...` transport entries for remote
-    /// schemes, empty for monolithic local ones.
+    /// Per-segment cost breakdown after the replay
+    /// ([`ltree::Instrumented::stats_breakdown`]) — one entry per shard for
+    /// partitioned schemes, empty for every other.
     pub shards: Vec<(String, SchemeStats)>,
+    /// The `net/`, `wal/` and `audit/` metric counters the cell's stack
+    /// reports after the replay, name-sorted: transport counts for
+    /// remote schemes, log counts for durable ones, audit counts for
+    /// checked ones; empty for plain local schemes.
+    pub counters: Vec<(String, u64)>,
 }
+
+/// The metric namespaces a cell's `counters` record: transport,
+/// write-ahead log and audit counts.
+const CELL_COUNTER_PREFIXES: [&str; 3] = ["net/", "wal/", "audit/"];
 
 impl SweepCell {
     /// Client round trips for remote schemes (the `net/round-trips`
-    /// breakdown entry), `None` for local ones. Covers the replay and
-    /// the end-of-run metric reads — the handshake and initial bulk
-    /// build are excluded, because the workload drivers reset the
-    /// scheme counters after the bulk build and the client resets its
-    /// transport counters with them.
+    /// counter), `None` for local ones. Covers the replay and the
+    /// end-of-run breakdown and metric reads — the handshake and
+    /// initial bulk build are excluded, because the workload drivers
+    /// reset the scheme counters after the bulk build and the client
+    /// resets its transport counters with them.
     pub fn round_trips(&self) -> Option<u64> {
-        self.shards
+        self.counters
             .iter()
             .find(|(name, _)| name == "net/round-trips")
-            .map(|(_, s)| s.node_touches)
+            .map(|&(_, v)| v)
     }
 
-    /// Breakdown entries that are segments (not `net/...` transport
-    /// counters, not the auditor's `audit/...` bookkeeping, not the
-    /// durability wrapper's `wal/...` log counters) — what the table's
-    /// shard-count column shows.
+    /// Segments in the breakdown — what the table's shard-count column
+    /// shows.
     pub fn segment_count(&self) -> usize {
-        self.shards
-            .iter()
-            .filter(|(name, _)| {
-                !name.starts_with("net/")
-                    && !name.starts_with("audit/")
-                    && !name.starts_with("wal/")
-            })
-            .count()
+        self.shards.len()
     }
 
     /// For a cell whose spec enables the coalescing write buffer, the
@@ -322,6 +321,28 @@ fn latency_quantiles(metrics: &[Metric]) -> (u64, u64) {
     (merged.quantile(0.50), merged.quantile(0.99))
 }
 
+/// What a replayed cell reports: its measurement, per-segment breakdown
+/// and metric counters.
+type Observed = (CellMetrics, Vec<(String, SchemeStats)>, Vec<(String, u64)>);
+
+/// Read a replayed cell's numbers off its scheme. The breakdown is read
+/// before the one metrics snapshot, so a remote cell's `net/` counters
+/// include both collection round trips.
+fn observe(scheme: &dyn DynScheme, report: &WorkloadReport) -> Observed {
+    let shards = scheme.stats_breakdown();
+    let metrics = scheme.metrics();
+    let counters = metrics
+        .iter()
+        .filter(|m| CELL_COUNTER_PREFIXES.iter().any(|p| m.name.starts_with(p)))
+        .filter_map(|m| match m.value {
+            MetricValue::Counter(v) => Some((m.name.clone(), v)),
+            _ => None,
+        })
+        .collect();
+    let latency = latency_quantiles(&metrics);
+    (CellMetrics::from_report(report, latency), shards, counters)
+}
+
 /// Run the sweep. Per-cell failures are *recorded*, not propagated — a
 /// broken scheme must not hide the rest of the matrix.
 ///
@@ -346,11 +367,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
                     .build(&format!("traced({spec})"))
                     .and_then(|mut scheme| {
                         let report = script.replay(&mut scheme)?;
-                        let latency = latency_quantiles(&scheme.metrics());
-                        Ok((
-                            CellMetrics::from_report(&report, latency),
-                            scheme.stats_breakdown(),
-                        ))
+                        Ok(observe(&*scheme, &report))
                     })
                     .map_err(|e: LTreeError| e.to_string());
                 cells.push(cell(spec, profile.name(), n, ops, measured));
@@ -367,13 +384,7 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
                     .and_then(|scheme| {
                         run_document_edits(scheme, n / 2, ops, cfg.seed).map_err(|e| e.to_string())
                     })
-                    .map(|(report, scheme)| {
-                        let latency = latency_quantiles(&scheme.metrics());
-                        (
-                            CellMetrics::from_report(&report, latency),
-                            scheme.stats_breakdown(),
-                        )
-                    });
+                    .map(|(report, scheme)| observe(&*scheme, &report));
                 cells.push(cell(spec, "doc-edit", n, ops, measured));
             }
         }
@@ -391,11 +402,11 @@ fn cell(
     workload: &str,
     n: usize,
     ops: usize,
-    measured: Result<(CellMetrics, Vec<(String, SchemeStats)>), String>,
+    measured: Result<Observed, String>,
 ) -> SweepCell {
-    let (outcome, shards) = match measured {
-        Ok((m, shards)) => (Ok(m), shards),
-        Err(e) => (Err(e), Vec::new()),
+    let (outcome, shards, counters) = match measured {
+        Ok((m, shards, counters)) => (Ok(m), shards, counters),
+        Err(e) => (Err(e), Vec::new(), Vec::new()),
     };
     SweepCell {
         spec: spec.to_owned(),
@@ -404,6 +415,7 @@ fn cell(
         ops,
         outcome,
         shards,
+        counters,
     }
 }
 
@@ -503,7 +515,8 @@ impl SweepReport {
         t.note("relabels/op = label writes per inserted item (the paper's cost unit); the");
         t.note("same numbers are emitted to BENCH_sweep.json for CI.");
         t.note("shards = final segment count for partitioned schemes (the JSON report");
-        t.note("carries the full per-shard counter breakdown); rtt = client round trips");
+        t.note("carries the full per-shard counter breakdown, plus each cell's net/, wal/");
+        t.note("and audit/ metric counters); rtt = client round trips");
         t.note("for remote schemes — batching is what keeps it near the splice count;");
         t.note("rtt saved = round trips a `coalesce` cell saved vs its plain twin;");
         t.note("audit ovh = in-scheme wall-clock a `checked` cell costs vs its plain twin");
@@ -653,15 +666,14 @@ impl SweepReport {
                         ]);
                         // Additive within schema version 1: present for
                         // remote schemes only — the client's round-trip
-                        // count (derived from the net/round-trips
-                        // breakdown entry, precomputed for dashboards).
+                        // count (the net/round-trips counter,
+                        // precomputed for dashboards).
                         if let Some(rt) = c.round_trips() {
                             members.push(("round_trips".into(), rt.into()));
                         }
                         // Additive within schema version 1: absent for
                         // monolithic schemes, one entry per segment for
-                        // partitioned ones (plus net/... transport
-                        // entries for remote schemes).
+                        // partitioned ones.
                         if !c.shards.is_empty() {
                             let shards = c
                                 .shards
@@ -678,6 +690,17 @@ impl SweepReport {
                                 })
                                 .collect();
                             members.push(("shards".into(), Json::Arr(shards)));
+                        }
+                        // Additive within schema version 1: the cell's
+                        // net/, wal/ and audit/ metric counters by name,
+                        // absent when the stack reports none.
+                        if !c.counters.is_empty() {
+                            let counters = c
+                                .counters
+                                .iter()
+                                .map(|(name, v)| (name.clone(), (*v).into()))
+                                .collect();
+                            members.push(("counters".into(), Json::Obj(counters)));
                         }
                     }
                     Err(e) => members.push(("error".into(), e.as_str().into())),
@@ -776,6 +799,15 @@ impl SweepReport {
                     ));
                 }
             }
+            let mut counters = Vec::new();
+            if let Some(Json::Obj(members)) = c.get("counters") {
+                for (name, v) in members {
+                    let v = v
+                        .as_u64()
+                        .ok_or_else(|| format!("counter '{name}' is not a count"))?;
+                    counters.push((name.clone(), v));
+                }
+            }
             cells.push(SweepCell {
                 spec,
                 workload,
@@ -783,6 +815,7 @@ impl SweepReport {
                 ops,
                 outcome,
                 shards,
+                counters,
             });
         }
         Ok(SweepReport {
@@ -923,9 +956,8 @@ mod tests {
                 // Live segments cannot have written more labels than the
                 // aggregate (retired segments fold into the aggregate).
                 assert!(agg <= m.label_writes, "{} × {}", c.spec, c.workload);
-            } else if c.spec.starts_with("served") {
-                assert_eq!(c.segment_count(), 0, "{}", c.spec);
             } else {
+                // Transport counts are metric counters, never segments.
                 assert!(c.shards.is_empty(), "{}", c.spec);
             }
         }
@@ -995,9 +1027,9 @@ mod tests {
 
     /// The durable cell: counters identical to its plain twin (the
     /// wrapper forwards the inner scheme's stats — durability is pure
-    /// overhead, never label maintenance), `wal/...` entries in the
-    /// breakdown but *not* in the shard count, and a `dur ovh` figure
-    /// against the twin.
+    /// overhead, never label maintenance), `wal/...` metric counters
+    /// but no breakdown entries, and a `dur ovh` figure against the
+    /// twin.
     #[test]
     fn durable_cells_report_overhead_against_their_plain_twin() {
         let mut cfg = tiny_config();
@@ -1027,15 +1059,10 @@ mod tests {
                     .durability_overhead(c)
                     .unwrap_or_else(|| panic!("{} × {}: no dur ovh figure", c.spec, c.workload));
             }
-            assert_eq!(
-                c.segment_count(),
-                0,
-                "{}: wal/ entries are not shards",
-                c.spec
-            );
+            assert_eq!(c.segment_count(), 0, "{}: the WAL is not a shard", c.spec);
             assert!(
-                c.shards.iter().any(|(n, _)| n == "wal/appends"),
-                "{}: breakdown carries the WAL counters",
+                c.counters.iter().any(|(n, _)| n == "wal/appends"),
+                "{}: counters carry the WAL counts",
                 c.spec
             );
             let twin = report
@@ -1119,18 +1146,34 @@ mod tests {
                 a.workload
             );
             assert_eq!(a.shards, b.shards, "{} × {}", a.spec, a.workload);
+            assert_eq!(a.counters, b.counters, "{} × {}", a.spec, a.workload);
         }
+        assert!(
+            back.cells.iter().any(|c| c.round_trips().is_some()),
+            "served cells keep their counters through the round trip"
+        );
     }
 
+    /// Cost columns and metric counters repeat exactly between runs —
+    /// except the client's `net/bytes-in`, which includes the size of
+    /// the metrics scrape itself, latency histograms and all.
     #[test]
     fn sweeps_are_deterministic_in_counters() {
         let a = run_sweep(&tiny_config());
         let b = run_sweep(&tiny_config());
+        let stable = |c: &SweepCell| -> Vec<(String, u64)> {
+            c.counters
+                .iter()
+                .filter(|(name, _)| name != "net/bytes-in")
+                .cloned()
+                .collect()
+        };
         for (ca, cb) in a.cells.iter().zip(&b.cells) {
             let (ma, mb) = (ca.outcome.as_ref().unwrap(), cb.outcome.as_ref().unwrap());
             assert_eq!(ma.label_writes, mb.label_writes, "{}", ca.spec);
             assert_eq!(ma.node_touches, mb.node_touches, "{}", ca.spec);
             assert_eq!(ma.relabel_events, mb.relabel_events, "{}", ca.spec);
+            assert_eq!(stable(ca), stable(cb), "{} × {}", ca.spec, ca.workload);
         }
     }
 

@@ -66,6 +66,7 @@
 
 use std::cmp::Ordering;
 
+use ltree_core::metrics::{sort_metrics, Metric};
 use ltree_core::registry::{SpecArg, SpecOptions};
 use ltree_core::{
     BatchLabeling, Cursor, DynScheme, Instrumented, LTreeError, LeafHandle, OrderedLabeling,
@@ -483,24 +484,17 @@ impl<S: OrderedLabeling + Instrumented> Instrumented for CheckedScheme<S> {
     }
 
     fn stats_breakdown(&self) -> Vec<(String, SchemeStats)> {
-        let mut out = self.inner.stats_breakdown();
-        // Surface the audit activity in the same channel the transport
-        // counters use, so sweep tables can show auditing cost drivers.
-        out.push((
-            "audit/runs".to_owned(),
-            SchemeStats {
-                node_touches: self.audits,
-                ..SchemeStats::default()
-            },
-        ));
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+        self.inner.stats_breakdown()
     }
 
-    fn metrics(&self) -> Vec<ltree_core::metrics::Metric> {
-        // The auditor adds no timings of its own; the inner stack's
-        // histograms pass through so `checked(traced(...))` scrapes.
-        self.inner.metrics()
+    fn metrics(&self) -> Vec<Metric> {
+        // The audit count is the auditor's one series of its own; the
+        // inner stack's metrics pass through so `checked(traced(...))`
+        // scrapes.
+        let mut out = self.inner.metrics();
+        out.push(Metric::counter("audit/runs", self.audits));
+        sort_metrics(&mut out);
+        out
     }
 }
 
@@ -548,6 +542,7 @@ pub fn register(reg: &mut SchemeRegistry) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ltree_core::metrics::MetricValue;
     use ltree_core::{LTree, Params};
 
     fn tree() -> LTree {
@@ -602,9 +597,10 @@ mod tests {
         .unwrap();
         assert_eq!(s.live_len(), 19);
         assert_eq!(s.name(), "checked");
-        // The audit counter rides the stats breakdown.
-        let bd = s.stats_breakdown();
-        assert!(bd.iter().any(|(k, _)| k == "audit/runs"));
+        // The audit counter rides the metrics, not the cost breakdown.
+        assert!(s.stats_breakdown().is_empty());
+        let runs = s.metrics().into_iter().find(|m| m.name == "audit/runs");
+        assert_eq!(runs.map(|m| m.value), Some(MetricValue::Counter(1)));
     }
 
     #[test]

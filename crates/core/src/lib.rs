@@ -57,8 +57,6 @@
 //! * [`registry`] — named scheme construction
 //!   ([`registry::SchemeRegistry`]): experiments and examples build any
 //!   scheme from a spec string like `"ltree(4,2)"`;
-//! * [`probe`] — call-level probes: [`CallCounter`] counts trait-method
-//!   traffic so bulk paths can prove they issue fewer write calls;
 //! * [`metrics`] — passive metric snapshots ([`Metric`],
 //!   [`HistogramSnapshot`] with bounded-error quantiles) returned by
 //!   [`Instrumented::metrics`]; the live recording side is `ltree-obs`;
@@ -78,7 +76,6 @@ pub mod metrics;
 pub mod node;
 pub mod order;
 pub mod params;
-pub mod probe;
 pub mod registry;
 pub mod rng;
 pub mod scheme;
@@ -91,7 +88,6 @@ pub use label::Label;
 pub use metrics::{HistogramSnapshot, Metric, MetricValue};
 pub use order::OrderedList;
 pub use params::Params;
-pub use probe::{CallCounter, CallCounts};
 pub use registry::{SchemeConfig, SchemeRegistry};
 pub use scheme::{
     BatchLabeling, Cursor, DynScheme, Instrumented, LabelingScheme, LeafHandle, OrderedLabeling,

@@ -492,24 +492,28 @@ pub trait Instrumented {
     /// Reset the cost counters.
     fn reset_scheme_stats(&mut self);
 
-    /// Per-component breakdown of [`scheme_stats`](Self::scheme_stats),
-    /// as `(component, stats)` pairs, **sorted by component name**.
-    /// Empty for monolithic schemes (the default); partitioned schemes
-    /// (e.g. `ltree-sharded`) report one entry per segment so the bench
-    /// harness can show where the cost concentrates. Components sum to
-    /// at most the aggregate (retired components may be folded into the
-    /// aggregate only).
+    /// Per-segment breakdown of [`scheme_stats`](Self::scheme_stats),
+    /// as `(segment, stats)` pairs, **sorted by segment name**. Empty
+    /// for monolithic schemes (the default); partitioned schemes (e.g.
+    /// `ltree-sharded`) report one entry per segment so the bench
+    /// harness can show where the cost concentrates. Wrappers forward
+    /// their inner scheme's breakdown unchanged. Every entry is the
+    /// paper's cost and nothing else, so each field summed over the
+    /// entries is at most the aggregate's (retired segments may be
+    /// folded into the aggregate only).
     fn stats_breakdown(&self) -> Vec<(String, SchemeStats)> {
         Vec::new()
     }
 
-    /// Time-based metrics: latency histograms, duration counters and
-    /// gauges as passive [`Metric`](crate::metrics::Metric) snapshots,
-    /// sorted by name. Empty by default — only instrumented wrappers
-    /// (`traced(...)`, `durable(...)`'s fsync timers) produce entries;
-    /// composing wrappers concatenate their own entries with the
-    /// inner scheme's so the full stack is visible through one call on
-    /// the outermost `Box<dyn DynScheme>`.
+    /// Every count and timing that is not the paper's cost, as passive
+    /// [`Metric`](crate::metrics::Metric) snapshots sorted by name:
+    /// latency histograms, gauges, and counters such as transport
+    /// (`net/…`), write-ahead-log (`wal/…`) and audit (`audit/…`)
+    /// counts. Empty by default — only instrumented layers (`traced(…)`,
+    /// `durable(…)`, `checked(…)`, the remote client and server)
+    /// produce entries; composing wrappers concatenate their own entries
+    /// with the inner scheme's so the full stack is visible through one
+    /// call on the outermost `Box<dyn DynScheme>`.
     fn metrics(&self) -> Vec<crate::metrics::Metric> {
         Vec::new()
     }

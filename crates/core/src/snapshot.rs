@@ -58,7 +58,10 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a (64-bit) over `bytes`: the dependency-free checksum that
+/// trails every persisted image in the workspace — these snapshots and
+/// the durable layer's write-ahead-log records and `LTDS` images.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= u64::from(b);

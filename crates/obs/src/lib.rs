@@ -51,7 +51,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use ltree_core::metrics::{bucket_index, HistogramSnapshot, Metric, BUCKET_COUNT};
+use ltree_core::metrics::{bucket_index, HistogramSnapshot, Metric, MetricValue, BUCKET_COUNT};
 use ltree_core::registry::{SpecArg, SpecOptions};
 use ltree_core::{
     BatchLabeling, Instrumented, LTreeError, LeafHandle, OrderedLabeling, OrderedLabelingMut,
@@ -430,6 +430,23 @@ impl Op {
                 | Op::Splice
         )
     }
+}
+
+/// Write-side trait calls in a metric snapshot: the summed sample
+/// counts of the eight mutation `obs/op/*` histograms a `traced(…)`
+/// layer records. Every call is one sample, so a batch splice counts
+/// once whatever its size — the number splice-driven bulk paths
+/// minimize.
+pub fn mutation_calls(metrics: &[Metric]) -> u64 {
+    let mutations = &OP_NAMES[..=Op::Splice as usize];
+    metrics
+        .iter()
+        .filter(|m| mutations.contains(&m.name.as_str()))
+        .map(|m| match &m.value {
+            MetricValue::Histogram(h) => h.count,
+            _ => 0,
+        })
+        .sum()
 }
 
 /// Default slow-op threshold (`slow_us` option), microseconds.

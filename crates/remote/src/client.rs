@@ -55,15 +55,18 @@
 //! and a client dropped without flushing loses its backlog (drop runs a
 //! best-effort flush).
 //!
-//! Transport accounting rides in [`Instrumented::stats_breakdown`]: the
-//! server-side breakdown is extended with
-//! `net/{round-trips,bytes-in,bytes-out,reconnects}` entries (values in
-//! the `node_touches` field), also available in typed form via
-//! [`transport_stats`](RemoteScheme::transport_stats).
+//! Transport accounting rides in [`Instrumented::metrics`]: the
+//! server's scrape is extended with this client's
+//! `net/{round-trips,bytes-in,bytes-out,reconnects}` counters, also
+//! available in typed form via
+//! [`transport_stats`](RemoteScheme::transport_stats). The
+//! [`Instrumented`] cost counters and breakdown are the hosted
+//! scheme's, forwarded unchanged.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard};
 
+use ltree_core::metrics::{sort_metrics, Metric};
 use ltree_core::{
     BatchLabeling, DynScheme, Instrumented, LTreeError, LeafHandle, OrderedLabeling,
     OrderedLabelingMut, Result, SchemeStats, Splice, SpliceResult,
@@ -321,8 +324,7 @@ impl RemoteScheme {
 
     /// Client-side transport counters in typed form, aggregated over
     /// the pool. The same numbers ride in
-    /// [`stats_breakdown`](Instrumented::stats_breakdown) as `net/...`
-    /// entries.
+    /// [`metrics`](Instrumented::metrics) as `net/...` counters.
     pub fn transport_stats(&self) -> TransportStats {
         self.pool.transport_stats()
     }
@@ -938,8 +940,8 @@ impl Instrumented for RemoteScheme {
     }
 
     /// Resets the hosted scheme's counters *and* this client's transport
-    /// counters, so the `net/...` breakdown entries follow the same
-    /// reset discipline as the scheme counters.
+    /// counters, so the `net/...` counters follow the same reset
+    /// discipline as the scheme counters.
     fn reset_scheme_stats(&mut self) {
         if self.flush_quiet() {
             let _ = self.read_raw(Request::ResetStats);
@@ -947,51 +949,46 @@ impl Instrumented for RemoteScheme {
         self.pool.reset_stats();
     }
 
-    /// The server-side breakdown plus this client's aggregate transport
-    /// counters as `net/{round-trips,bytes-in,bytes-out,reconnects}`
-    /// entries (values in the `node_touches` field, the generic
-    /// "accesses" column; in/out are relative to this client — the same
-    /// convention the server uses for its `net/conn<i>/...` entries).
+    /// The hosted scheme's breakdown (one round trip, after a flush);
+    /// empty on transport failure.
     fn stats_breakdown(&self) -> Vec<(String, SchemeStats)> {
+        if !self.flush_quiet() {
+            return Vec::new();
+        }
+        match self.read_raw(Request::StatsBreakdown) {
+            Ok(Response::Breakdown(entries)) => entries,
+            _ => Vec::new(),
+        }
+    }
+
+    /// The server's full metric snapshot — its own instrumentation
+    /// (request counter, phase histograms, per-connection counters)
+    /// plus the hosted scheme's metrics — fetched in one round trip,
+    /// then this client's aggregate transport counters as
+    /// `net/{round-trips,bytes-in,bytes-out,reconnects}` (read after the
+    /// scrape, so they include it; in/out are relative to this client,
+    /// the convention the server's `net/conn<i>/...` counters follow).
+    /// This is how `repro metrics` scrapes a running server. A transport
+    /// failure leaves only the client's counters (the trait cannot
+    /// carry errors here).
+    fn metrics(&self) -> Vec<Metric> {
         let mut out = if self.flush_quiet() {
-            match self.read_raw(Request::StatsBreakdown) {
-                Ok(Response::Breakdown(entries)) => entries,
+            match self.read_raw(Request::Metrics) {
+                Ok(Response::Metrics(m)) => m,
                 _ => Vec::new(),
             }
         } else {
             Vec::new()
         };
         let t = self.transport_stats();
-        out.extend(crate::server::transport_entries(
-            "net",
-            t.round_trips,
-            t.bytes_received,
-            t.bytes_sent,
-        ));
-        out.push((
-            "net/reconnects".to_owned(),
-            SchemeStats {
-                node_touches: t.reconnects,
-                ..SchemeStats::default()
-            },
-        ));
-        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out.extend([
+            Metric::counter("net/round-trips", t.round_trips),
+            Metric::counter("net/bytes-in", t.bytes_received),
+            Metric::counter("net/bytes-out", t.bytes_sent),
+            Metric::counter("net/reconnects", t.reconnects),
+        ]);
+        sort_metrics(&mut out);
         out
-    }
-
-    /// The server's full metric snapshot — its own instrumentation
-    /// (request counter, phase histograms) plus the hosted scheme's
-    /// metrics — fetched in one round trip. This is how `repro metrics`
-    /// scrapes a running server. Empty on transport failure (the trait
-    /// cannot carry errors here).
-    fn metrics(&self) -> Vec<ltree_core::metrics::Metric> {
-        if !self.flush_quiet() {
-            return Vec::new();
-        }
-        match self.read_raw(Request::Metrics) {
-            Ok(Response::Metrics(m)) => m,
-            _ => Vec::new(),
-        }
     }
 }
 

@@ -48,15 +48,14 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 use ltree_core::metrics::Metric;
+use ltree_core::snapshot::fnv1a;
 use ltree_core::{
     BatchLabeling, DynScheme, Instrumented, LTreeError, LeafHandle, OrderedLabeling,
     OrderedLabelingMut, Result, SchemeStats,
 };
 use ltree_obs::Histogram;
 
-use crate::wal::{
-    encode_record, fnv1a, scan_log, scratch_dir, DurableDir, FsDir, SNAP_FILE, WAL_FILE,
-};
+use crate::wal::{encode_record, scan_log, scratch_dir, DurableDir, FsDir, SNAP_FILE, WAL_FILE};
 use crate::wire::{Request, WireSplice};
 
 /// Snapshot image magic: **L**-**T**ree **D**urable **S**cheme.
@@ -649,26 +648,20 @@ impl Instrumented for DurableScheme {
     }
 
     fn stats_breakdown(&self) -> Vec<(String, SchemeStats)> {
-        let mut out = self.inner.stats_breakdown();
-        let entry = |v: u64| SchemeStats {
-            node_touches: v,
-            ..SchemeStats::default()
-        };
-        out.push(("wal/appends".to_owned(), entry(self.wal.appends)));
-        out.push(("wal/fsyncs".to_owned(), entry(self.wal.fsyncs)));
-        out.push(("wal/bytes".to_owned(), entry(self.wal.bytes)));
-        out.push(("wal/checkpoints".to_owned(), entry(self.wal.checkpoints)));
-        out.push((
-            "wal/failed_checkpoints".to_owned(),
-            entry(self.wal.failed_checkpoints),
-        ));
-        out.push(("wal/replayed".to_owned(), entry(self.wal.replayed)));
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+        self.inner.stats_breakdown()
     }
 
+    /// The log's lifecycle counters (`wal/*`) and its fsync/checkpoint
+    /// timings, plus the inner scheme's metrics.
     fn metrics(&self) -> Vec<Metric> {
+        let w = &self.wal;
         let mut out = vec![
+            Metric::counter("wal/appends", w.appends),
+            Metric::counter("wal/fsyncs", w.fsyncs),
+            Metric::counter("wal/bytes", w.bytes),
+            Metric::counter("wal/checkpoints", w.checkpoints),
+            Metric::counter("wal/failed_checkpoints", w.failed_checkpoints),
+            Metric::counter("wal/replayed", w.replayed),
             Metric::histogram("wal/fsync-duration", self.fsync_hist.snapshot()),
             Metric::histogram("wal/checkpoint-duration", self.checkpoint_hist.snapshot()),
         ];
@@ -697,6 +690,19 @@ mod tests {
 
     fn live_order(s: &DurableScheme) -> Vec<u64> {
         Cursor::new(s).map(|h| h.0).collect()
+    }
+
+    fn counter(s: &DurableScheme, name: &str) -> u64 {
+        match s
+            .metrics()
+            .into_iter()
+            .find(|m| m.name == name)
+            .unwrap()
+            .value
+        {
+            ltree_core::metrics::MetricValue::Counter(v) => v,
+            other => panic!("{name} should be a counter, got {other:?}"),
+        }
     }
 
     #[test]
@@ -764,14 +770,7 @@ mod tests {
         }
         let snap = dir.read(SNAP_FILE).unwrap();
         assert!(snap.is_some(), "a checkpoint must have fired");
-        let breakdown = s.stats_breakdown();
-        let checkpoints = breakdown
-            .iter()
-            .find(|(n, _)| n == "wal/checkpoints")
-            .unwrap()
-            .1
-            .node_touches;
-        assert_eq!(checkpoints, 2, "8 logged ops / every 4");
+        assert_eq!(counter(&s, "wal/checkpoints"), 2, "8 logged ops / every 4");
     }
 
     #[test]
@@ -844,24 +843,36 @@ mod tests {
         assert_eq!(names, sorted, "metrics come back name-sorted");
         // The reset discipline clears the histograms too.
         s.reset_scheme_stats();
-        assert_eq!(s.metrics().len(), 2, "inner scheme reports no metrics");
+        assert_eq!(s.metrics().len(), 8, "inner scheme reports no metrics");
         assert_eq!(hist("wal/fsync-duration").count, 2, "snapshot is passive");
-        match &s.metrics()[0].value {
+        let after = s.metrics();
+        match &after
+            .iter()
+            .find(|m| m.name == "wal/fsync-duration")
+            .unwrap()
+            .value
+        {
             ltree_core::metrics::MetricValue::Histogram(h) => assert_eq!(h.count, 0),
             other => panic!("expected a histogram, got {other:?}"),
         }
     }
 
+    /// The log counters are metrics, not cost: the breakdown forwards
+    /// the inner scheme's (empty for a monolithic one), and the `wal/*`
+    /// counters come back name-sorted among the metrics.
     #[test]
     fn breakdown_entries_are_name_sorted() {
         let dir = SimDir::new(7);
         let mut s =
             DurableScheme::open(ltree(), Box::new(dir), opts(SyncPolicy::Always, 0)).unwrap();
         s.bulk_build(4).unwrap();
-        let names: Vec<_> = s.stats_breakdown().into_iter().map(|(n, _)| n).collect();
+        assert!(s.stats_breakdown().is_empty());
+        let names: Vec<_> = s.metrics().into_iter().map(|m| m.name).collect();
         let mut sorted = names.clone();
         sorted.sort();
         assert_eq!(names, sorted);
+        assert_eq!(counter(&s, "wal/appends"), 1, "the bulk build");
+        assert_eq!(counter(&s, "wal/fsyncs"), 1);
     }
 
     #[test]

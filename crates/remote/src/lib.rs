@@ -32,7 +32,7 @@
 //! * [`LabelServer`] — a `std::net` TCP server hosting any
 //!   registry-built scheme behind an `RwLock` (shared reads, exclusive
 //!   writes), thread-per-connection with request pipelining, graceful
-//!   shutdown, per-connection op/byte counters, per-request phase
+//!   shutdown, per-connection op/byte counters and per-request phase
 //!   latency histograms (decode / lock-wait / apply / encode) answered
 //!   live through the wire `Metrics` request, and
 //!   [`loopback`](LabelServer::loopback) in-process connections;
@@ -42,7 +42,7 @@
 //!   page-cached reads, one frame per splice, an opt-in coalescing
 //!   write buffer (adjacent single-op edits merge into splice runs,
 //!   flushed pipelined on any read), and transport counters in
-//!   `stats_breakdown()`.
+//!   `metrics()`.
 //!
 //! The crate also owns the **durability layer** (see [`durable`] and
 //! [`wal`]): [`DurableScheme`] wraps any scheme with a write-ahead log
@@ -370,8 +370,15 @@ mod tests {
         s.insert_after(hs[3]).unwrap();
     }
 
+    fn counter(metrics: &[ltree_core::metrics::Metric], name: &str) -> u64 {
+        match metrics.iter().find(|m| m.name == name).map(|m| &m.value) {
+            Some(ltree_core::metrics::MetricValue::Counter(v)) => *v,
+            other => panic!("{name}: expected a counter, got {other:?}"),
+        }
+    }
+
     #[test]
-    fn stats_forward_and_breakdown_carries_transport_counters() {
+    fn stats_forward_and_metrics_carry_transport_counters() {
         let mut s = served();
         let hs = s.bulk_build(32).unwrap();
         s.reset_scheme_stats();
@@ -379,16 +386,15 @@ mod tests {
         let stats = s.scheme_stats();
         assert_eq!(stats.inserts, 1);
         assert!(stats.label_writes >= 1);
-        let breakdown = s.stats_breakdown();
-        let net = |k: &str| {
-            breakdown
-                .iter()
-                .find(|(n, _)| n == k)
-                .unwrap_or_else(|| panic!("missing {k} in {breakdown:?}"))
-                .1
-                .node_touches
-        };
-        assert!(net("net/round-trips") >= 2, "insert + stats trips");
+        // The breakdown is the hosted scheme's cost record alone.
+        assert!(s.stats_breakdown().is_empty());
+        let metrics = s.metrics();
+        let net = |k: &str| counter(&metrics, k);
+        assert_eq!(
+            net("net/round-trips"),
+            4,
+            "insert, stats, breakdown and the scrape itself"
+        );
         assert!(net("net/bytes-out") > 0);
         assert!(net("net/bytes-in") > 0);
         // Reset zeroes the transport counters with the scheme counters.
@@ -405,13 +411,8 @@ mod tests {
         // Host-side view: bulk loading is not an update in the paper's
         // model, so only the point insert counts.
         assert_eq!(server.scheme_stats().inserts, 1);
-        let breakdown = server.stats_breakdown();
-        assert!(
-            breakdown
-                .iter()
-                .any(|(n, st)| n == "net/conn0/round-trips" && st.node_touches >= 2),
-            "{breakdown:?}"
-        );
+        assert!(server.stats_breakdown().is_empty());
+        assert!(counter(&server.metrics(), "net/conn0/round-trips") >= 2);
     }
 
     #[test]

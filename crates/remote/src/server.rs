@@ -13,12 +13,12 @@
 //! thread by shutting its socket down, and joins them all, so no thread
 //! outlives the server value.
 //!
-//! Per-connection op/byte counters are surfaced through the
-//! [`Instrumented`] impl: [`LabelServer::stats_breakdown`] reports the
-//! hosted scheme's own breakdown plus `net/conn<i>/...` entries (the
-//! counter value rides in the `node_touches` field — transport counters
-//! have no native slot in [`SchemeStats`], and `node_touches` is the
-//! "generic accesses" column).
+//! Per-connection op/byte counters are part of the server's metrics:
+//! [`LabelServer::metrics`] and the wire `Metrics` scrape both report
+//! `net/conn<i>/{round-trips,bytes-in,bytes-out}` counters for every
+//! connection ever opened, next to the request counter, the phase
+//! histograms and the hosted scheme's own metrics. The
+//! [`Instrumented`] cost counters stay the hosted scheme's alone.
 
 use std::io::{BufReader, BufWriter};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -43,7 +43,7 @@ use crate::wire::{
 /// Op/byte counters for one connection (or one client transport).
 ///
 /// Ordering: every access is `Relaxed`. These are pure statistics —
-/// incremented on the serving thread, read by `stats_breakdown`; no
+/// incremented on the serving thread, read by metric snapshots; no
 /// other memory is published under them, and a momentarily torn *view*
 /// across the three counters is acceptable in a live report. The
 /// atomic RMW still guarantees no increment is ever lost.
@@ -57,47 +57,7 @@ pub struct TransportCounters {
     pub bytes_out: AtomicU64,
 }
 
-/// Render transport counters as `Instrumented::stats_breakdown` entries
-/// under `prefix`: `{prefix}/{round-trips,bytes-in,bytes-out}`, the
-/// value in the `node_touches` field. One naming convention for both
-/// endpoints — `bytes-in`/`bytes-out` are relative to the endpoint
-/// reporting them.
-pub(crate) fn transport_entries(
-    prefix: &str,
-    round_trips: u64,
-    bytes_in: u64,
-    bytes_out: u64,
-) -> Vec<(String, SchemeStats)> {
-    let entry = |suffix: &str, v: u64| {
-        (
-            format!("{prefix}/{suffix}"),
-            SchemeStats {
-                node_touches: v,
-                ..SchemeStats::default()
-            },
-        )
-    };
-    vec![
-        entry("round-trips", round_trips),
-        entry("bytes-in", bytes_in),
-        entry("bytes-out", bytes_out),
-    ]
-}
-
 impl TransportCounters {
-    /// Render these counters as `Instrumented::stats_breakdown` entries
-    /// under `prefix`: `{prefix}/{round-trips,bytes-in,bytes-out}`, the
-    /// value in the `node_touches` field.
-    pub fn breakdown_entries(&self, prefix: &str) -> Vec<(String, SchemeStats)> {
-        transport_entries(
-            prefix,
-            // relaxed: independent transport statistics; tearing across them is fine.
-            self.ops.load(Ordering::Relaxed),
-            self.bytes_in.load(Ordering::Relaxed),
-            self.bytes_out.load(Ordering::Relaxed),
-        )
-    }
-
     pub(crate) fn add(&self, ops: u64, bytes_in: u64, bytes_out: u64) {
         // relaxed: independent statistics; no memory is published under them.
         self.ops.fetch_add(ops, Ordering::Relaxed);
@@ -107,9 +67,10 @@ impl TransportCounters {
 }
 
 /// The server's own live instrumentation: the request counter, the
-/// active-connection gauge, and the four per-request phase histograms
-/// (`net/phase/{decode,lock-wait,apply,encode}`, nanoseconds). Shared by
-/// every connection thread and by loopback transports; a `Metrics` wire
+/// active-connection gauge, the four per-request phase histograms
+/// (`net/phase/{decode,lock-wait,apply,encode}`, nanoseconds) and the
+/// op/byte counters of every connection ever opened. Shared by every
+/// connection thread and by loopback transports; a `Metrics` wire
 /// request (or [`Instrumented::metrics`] on the server) snapshots it
 /// together with the hosted scheme's own metrics.
 pub(crate) struct ServerMetrics {
@@ -120,6 +81,9 @@ pub(crate) struct ServerMetrics {
     pub(crate) lock_wait: Arc<Histogram>,
     pub(crate) apply: Arc<Histogram>,
     pub(crate) encode: Arc<Histogram>,
+    /// `(connection id, counters)`, in id order.
+    conns: Mutex<Vec<(usize, Arc<TransportCounters>)>>,
+    next_conn_id: AtomicUsize,
 }
 
 impl ServerMetrics {
@@ -139,35 +103,66 @@ impl ServerMetrics {
             lock_wait,
             apply,
             encode,
+            conns: Mutex::new(Vec::new()),
+            next_conn_id: AtomicUsize::new(0),
         })
     }
 
-    pub(crate) fn snapshot(&self) -> Vec<Metric> {
-        self.registry.snapshot()
+    /// Register a new connection and hand back its counters, reported
+    /// as `net/conn<i>/...` from now on.
+    fn open_conn(&self) -> Arc<TransportCounters> {
+        // Ordering: `Relaxed` — ids only need uniqueness, which the
+        // atomic RMW guarantees on its own; nothing is published under
+        // the counter.
+        let id = self.next_conn_id.fetch_add(1, Ordering::Relaxed);
+        let counters = Arc::new(TransportCounters::default());
+        self.conns
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .push((id, counters.clone()));
+        counters
+    }
+
+    fn snapshot(&self) -> Vec<Metric> {
+        let mut out = self.registry.snapshot();
+        let conns = self.conns.lock().unwrap_or_else(|p| p.into_inner());
+        for (id, c) in conns.iter() {
+            // relaxed: independent transport statistics; tearing across them is fine.
+            let ops = c.ops.load(Ordering::Relaxed);
+            let bytes_in = c.bytes_in.load(Ordering::Relaxed);
+            let bytes_out = c.bytes_out.load(Ordering::Relaxed);
+            out.push(Metric::counter(format!("net/conn{id}/round-trips"), ops));
+            out.push(Metric::counter(format!("net/conn{id}/bytes-in"), bytes_in));
+            out.push(Metric::counter(
+                format!("net/conn{id}/bytes-out"),
+                bytes_out,
+            ));
+        }
+        out
     }
 }
 
 /// The full scrape: the server's own instrumentation concatenated with
-/// the hosted scheme's [`Instrumented::metrics`], sorted by name. One
-/// function backs the wire `Metrics` handler and the host-side
-/// [`Instrumented`] impl, so both views agree counter-for-counter.
-pub(crate) fn full_metrics(
-    scheme: &RwLock<Box<dyn DynScheme>>,
+/// the hosted scheme's [`Instrumented::metrics`] (read under the guard
+/// `lock` returns), sorted by name. One function backs the wire
+/// `Metrics` handler and the host-side [`Instrumented`] impl, so both
+/// views agree counter-for-counter.
+fn full_metrics<'a>(
     metrics: &ServerMetrics,
+    lock: impl FnOnce() -> RwLockReadGuard<'a, Box<dyn DynScheme>>,
 ) -> Vec<Metric> {
     let mut out = metrics.snapshot();
-    out.extend(read_lock(scheme).metrics());
+    out.extend(lock().metrics());
     sort_metrics(&mut out);
     out
 }
 
+/// One accepted socket connection. In-process loopback connections
+/// have no socket (and no thread) to unblock, so they are not listed.
 struct ConnReg {
-    id: usize,
     /// A clone of the connection's socket, kept so shutdown can unblock
-    /// the thread's blocking read. `None` for in-process loopback
-    /// connections, which have no socket (and no thread) to unblock.
-    stream: Option<TcpStream>,
-    counters: Arc<TransportCounters>,
+    /// the thread's blocking read.
+    stream: TcpStream,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -201,7 +196,6 @@ pub struct LabelServer {
     metrics: Arc<ServerMetrics>,
     stop: Arc<AtomicBool>,
     conns: Arc<Mutex<Vec<ConnReg>>>,
-    next_conn_id: Arc<AtomicUsize>,
     accept: Option<JoinHandle<()>>,
 }
 
@@ -216,11 +210,10 @@ impl LabelServer {
         let metrics = ServerMetrics::new();
         let stop = Arc::new(AtomicBool::new(false));
         let conns: Arc<Mutex<Vec<ConnReg>>> = Arc::new(Mutex::new(Vec::new()));
-        let next_conn_id = Arc::new(AtomicUsize::new(0));
         let accept = {
             let (scheme, stop, conns) = (scheme.clone(), stop.clone(), conns.clone());
-            let (metrics, ids) = (metrics.clone(), next_conn_id.clone());
-            std::thread::spawn(move || accept_loop(listener, scheme, metrics, stop, conns, ids))
+            let metrics = metrics.clone();
+            std::thread::spawn(move || accept_loop(listener, scheme, metrics, stop, conns))
         };
         Ok(LabelServer {
             addr,
@@ -228,7 +221,6 @@ impl LabelServer {
             metrics,
             stop,
             conns,
-            next_conn_id,
             accept: Some(accept),
         })
     }
@@ -241,16 +233,10 @@ impl LabelServer {
 
     /// Open an in-process [`LoopbackTransport`] onto this server's
     /// scheme. The transport counts as one connection (it gets its own
-    /// `net/conn<i>/...` breakdown entry) and takes the same `RwLock`
-    /// the socket connections take, but frames never leave the process.
+    /// `net/conn<i>/...` counters) and takes the same `RwLock` the socket
+    /// connections take, but frames never leave the process.
     pub fn loopback(&self) -> LoopbackTransport {
-        make_loopback(
-            &self.scheme,
-            &self.metrics,
-            &self.stop,
-            &self.conns,
-            &self.next_conn_id,
-        )
+        make_loopback(&self.scheme, &self.metrics, &self.stop)
     }
 
     /// A closure that mints loopback transports from the server
@@ -263,8 +249,6 @@ impl LabelServer {
         let scheme = self.scheme.clone();
         let metrics = self.metrics.clone();
         let stop = self.stop.clone();
-        let conns = self.conns.clone();
-        let next_id = self.next_conn_id.clone();
         Box::new(move || {
             // seqcst: every stop-flag site shares one total order with shutdown's swap.
             if stop.load(Ordering::SeqCst) {
@@ -272,7 +256,7 @@ impl LabelServer {
                     context: "loopback: server is shut down".into(),
                 });
             }
-            Ok(make_loopback(&scheme, &metrics, &stop, &conns, &next_id))
+            Ok(make_loopback(&scheme, &metrics, &stop))
         })
     }
 
@@ -336,9 +320,7 @@ impl LabelServer {
         // Unblock connection threads stuck in a blocking read.
         let conns = self.conns.lock().unwrap_or_else(|p| p.into_inner());
         for c in conns.iter() {
-            if let Some(stream) = &c.stream {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
+            let _ = c.stream.shutdown(Shutdown::Both);
         }
         // Unblock the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
@@ -353,9 +335,7 @@ impl LabelServer {
         // would hang this join forever.
         let mut conns = self.conns.lock().unwrap_or_else(|p| p.into_inner());
         for c in conns.iter_mut() {
-            if let Some(stream) = &c.stream {
-                let _ = stream.shutdown(Shutdown::Both);
-            }
+            let _ = c.stream.shutdown(Shutdown::Both);
             if let Some(t) = c.thread.take() {
                 let _ = t.join();
             }
@@ -369,9 +349,9 @@ impl Drop for LabelServer {
     }
 }
 
-/// Host-side instrumentation: the hosted scheme's counters, plus one
-/// `net/conn<i>/{round-trips,bytes-in,bytes-out}` breakdown entry per
-/// connection ever accepted (counter values in `node_touches`).
+/// Host-side instrumentation: the hosted scheme's cost counters and
+/// breakdown, and the full metric scrape — the same snapshot a wire
+/// `Metrics` request returns.
 impl Instrumented for LabelServer {
     fn scheme_stats(&self) -> SchemeStats {
         read_lock(&self.scheme).scheme_stats()
@@ -382,18 +362,11 @@ impl Instrumented for LabelServer {
     }
 
     fn stats_breakdown(&self) -> Vec<(String, SchemeStats)> {
-        let mut out = read_lock(&self.scheme).stats_breakdown();
-        let conns = self.conns.lock().unwrap_or_else(|p| p.into_inner());
-        for c in conns.iter() {
-            out.extend(c.counters.breakdown_entries(&format!("net/conn{}", c.id)));
-        }
-        drop(conns);
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
+        read_lock(&self.scheme).stats_breakdown()
     }
 
     fn metrics(&self) -> Vec<Metric> {
-        full_metrics(&self.scheme, &self.metrics)
+        full_metrics(&self.metrics, || read_lock(&self.scheme))
     }
 }
 
@@ -402,26 +375,12 @@ fn make_loopback(
     scheme: &SharedScheme,
     metrics: &Arc<ServerMetrics>,
     stop: &Arc<AtomicBool>,
-    conns: &Arc<Mutex<Vec<ConnReg>>>,
-    next_conn_id: &Arc<AtomicUsize>,
 ) -> LoopbackTransport {
-    let counters = Arc::new(TransportCounters::default());
-    // relaxed: ids only need uniqueness (see the TCP minting site below).
-    let id = next_conn_id.fetch_add(1, Ordering::Relaxed);
-    conns
-        .lock()
-        .unwrap_or_else(|p| p.into_inner())
-        .push(ConnReg {
-            id,
-            stream: None,
-            counters: counters.clone(),
-            thread: None,
-        });
     LoopbackTransport {
         scheme: scheme.clone(),
         metrics: metrics.clone(),
         stop: stop.clone(),
-        counters,
+        counters: metrics.open_conn(),
         pending: std::collections::VecDeque::new(),
     }
 }
@@ -432,7 +391,6 @@ fn accept_loop(
     metrics: Arc<ServerMetrics>,
     stop: Arc<AtomicBool>,
     conns: Arc<Mutex<Vec<ConnReg>>>,
-    next_conn_id: Arc<AtomicUsize>,
 ) {
     for incoming in listener.incoming() {
         // This stop check runs *after* `accept()` returned and *before*
@@ -449,23 +407,16 @@ fn accept_loop(
         let Ok(clone) = stream.try_clone() else {
             continue;
         };
-        // Ordering: `Relaxed` — ids only need uniqueness, which the
-        // atomic RMW guarantees on its own; nothing is published under
-        // the counter (same at the loopback minting site).
-        let id = next_conn_id.fetch_add(1, Ordering::Relaxed);
-        let counters = Arc::new(TransportCounters::default());
         let thread = {
-            let (scheme, counters, stop) = (scheme.clone(), counters.clone(), stop.clone());
-            let metrics = metrics.clone();
+            let (scheme, metrics, stop) = (scheme.clone(), metrics.clone(), stop.clone());
+            let counters = metrics.open_conn();
             std::thread::spawn(move || serve_conn(stream, scheme, metrics, counters, stop))
         };
         conns
             .lock()
             .unwrap_or_else(|p| p.into_inner())
             .push(ConnReg {
-                id,
-                stream: Some(clone),
-                counters,
+                stream: clone,
                 thread: Some(thread),
             });
     }
@@ -637,12 +588,7 @@ where
             Response::Unit
         }
         Request::StatsBreakdown => Response::Breakdown(read_lock(scheme).stats_breakdown()),
-        Request::Metrics => {
-            let mut out = metrics.snapshot();
-            out.extend(read_lock(scheme).metrics());
-            sort_metrics(&mut out);
-            Response::Metrics(out)
-        }
+        Request::Metrics => Response::Metrics(full_metrics(metrics, &rl)),
     }
 }
 

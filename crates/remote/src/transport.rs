@@ -124,8 +124,8 @@ impl Drop for TcpTransport {
 /// lock in parallel, exactly like concurrent TCP connections.
 ///
 /// Obtained from [`LabelServer::loopback`]; each instance counts as one
-/// server connection (its traffic shows up as a `net/conn<i>/...`
-/// breakdown entry).
+/// server connection (its traffic shows up as `net/conn<i>/...`
+/// counters in the server's metrics).
 ///
 /// [`LabelServer::loopback`]: crate::server::LabelServer::loopback
 pub struct LoopbackTransport {

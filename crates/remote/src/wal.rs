@@ -15,7 +15,7 @@
 //! body = u64 LE sequence number ++ wire-encoded Request payload
 //! ```
 //!
-//! The payload reuses [`wire::encode_request`](crate::wire::encode_request)
+//! The payload reuses [`wire::encode_request`]
 //! verbatim — every mutation the trait family can express already has a
 //! wire frame, so the log format falls out of the protocol. Sequence
 //! numbers are strictly increasing across the log's lifetime and let
@@ -52,6 +52,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use ltree_core::rng::SplitMix64;
+use ltree_core::snapshot::fnv1a;
 use ltree_core::{LTreeError, Result};
 
 use crate::wire::{self, Request};
@@ -61,17 +62,6 @@ pub const WAL_FILE: &str = "wal.log";
 
 /// File name of the checkpoint snapshot inside a durable directory.
 pub const SNAP_FILE: &str = "snapshot.bin";
-
-/// FNV-1a over `bytes` — the same dependency-free checksum
-/// `ltree_core::snapshot` trails its images with.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
 
 fn store_err(context: impl Into<String>) -> LTreeError {
     LTreeError::Durability {

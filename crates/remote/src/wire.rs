@@ -100,7 +100,8 @@ pub enum Request {
     /// [`stats_breakdown`](ltree_core::Instrumented::stats_breakdown).
     StatsBreakdown,
     /// A full metrics scrape: the server's own instrumentation (request
-    /// counters, per-phase latency histograms) concatenated with the
+    /// and per-connection counters, per-phase latency histograms)
+    /// concatenated with the
     /// hosted scheme's [`metrics`](ltree_core::Instrumented::metrics),
     /// sorted by name. Since protocol version 2.
     Metrics,

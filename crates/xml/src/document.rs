@@ -773,20 +773,20 @@ mod tests {
 
     #[test]
     fn insert_fragments_labels_the_run_with_one_splice() {
-        use ltree_core::probe::CallCounter;
+        use ltree_obs::{mutation_calls, TracedScheme};
         let mut d = Document::parse_str(
             FIG1,
-            CallCounter::new(LTree::new(Params::new(4, 2).unwrap())),
+            TracedScheme::new(LTree::new(Params::new(4, 2).unwrap())),
         )
         .unwrap();
         let root = d.tree().root().unwrap();
         let (mut f1, r1) = XmlTree::with_root("appendix");
         f1.add_child(r1, "section").unwrap();
         let (f2, _) = XmlTree::with_root("index");
-        let calls_before = d.scheme().counts().mutation_calls();
+        let calls_before = mutation_calls(&d.scheme().metrics());
         let ids = d.insert_fragments(root, 2, &[f1, f2]).unwrap();
         assert_eq!(
-            d.scheme().counts().mutation_calls() - calls_before,
+            mutation_calls(&d.scheme().metrics()) - calls_before,
             1,
             "the whole sibling run is one splice"
         );
@@ -818,19 +818,19 @@ mod tests {
 
     #[test]
     fn subtree_removal_is_one_delete_run() {
-        use ltree_core::probe::CallCounter;
+        use ltree_obs::{mutation_calls, TracedScheme};
         let mut d = Document::parse_str(
             "<r><a><b/><c><d/></c></a><e/></r>",
-            CallCounter::new(LTree::new(Params::new(4, 2).unwrap())),
+            TracedScheme::new(LTree::new(Params::new(4, 2).unwrap())),
         )
         .unwrap();
         let root = d.tree().root().unwrap();
         let a = d.tree().child_elements(root).unwrap()[0];
-        let calls_before = d.scheme().counts().mutation_calls();
+        let calls_before = mutation_calls(&d.scheme().metrics());
         let removed = d.delete_subtree(a).unwrap();
         assert_eq!(removed, 4);
         assert_eq!(
-            d.scheme().counts().mutation_calls() - calls_before,
+            mutation_calls(&d.scheme().metrics()) - calls_before,
             1,
             "subtree removal is one delete-run splice"
         );

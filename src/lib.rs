@@ -203,9 +203,9 @@ pub mod prelude {
     pub use ltree_checked::CheckedScheme;
     pub use ltree_core::order::OrderedList;
     pub use ltree_core::{
-        BatchLabeling, CallCounter, CallCounts, Cursor, DynScheme, Instrumented, LTree, Label,
-        LabelingScheme, LeafHandle, LeafId, OrderedLabeling, OrderedLabelingMut, Params,
-        SchemeConfig, SchemeRegistry, Splice, SpliceBuilder, SpliceResult,
+        BatchLabeling, Cursor, DynScheme, Instrumented, LTree, Label, LabelingScheme, LeafHandle,
+        LeafId, OrderedLabeling, OrderedLabelingMut, Params, SchemeConfig, SchemeRegistry, Splice,
+        SpliceBuilder, SpliceResult,
     };
     pub use ltree_obs::{render_prometheus, MetricsRegistry, TracedScheme};
     pub use ltree_remote::{

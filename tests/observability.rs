@@ -60,11 +60,16 @@ fn tcp_metrics_scrape_agrees_with_the_in_process_registry() {
     let scraped = client.metrics();
     let local = server.metrics();
 
-    // Scheme-owned series (`obs/…`, `wal/…`) agree counter-for-counter:
-    // nothing touched the scheme between the two snapshots.
+    // Scheme-owned series (`obs/…`, `wal/…`, `audit/…` — histograms and
+    // counters alike) agree counter-for-counter: nothing touched the
+    // scheme between the two snapshots.
     let scheme_owned = |ms: &[Metric]| -> Vec<Metric> {
         ms.iter()
-            .filter(|m| m.name.starts_with("obs/") || m.name.starts_with("wal/"))
+            .filter(|m| {
+                ["obs/", "wal/", "audit/"]
+                    .iter()
+                    .any(|p| m.name.starts_with(p))
+            })
             .cloned()
             .collect()
     };
@@ -74,8 +79,18 @@ fn tcp_metrics_scrape_agrees_with_the_in_process_registry() {
         "wire scrape must mirror the in-process registry exactly"
     );
 
-    // The histograms the acceptance criteria name, all nonzero.
+    // The histograms the acceptance criteria name, all nonzero, and the
+    // log's counters beside them.
     assert!(hist_count(&scraped, "wal/fsync-duration") > 0, "fsyncs ran");
+    assert_eq!(
+        counter(&scraped, "wal/appends"),
+        6,
+        "one record per mutation"
+    );
+    assert_eq!(
+        counter(&scraped, "wal/fsyncs"),
+        hist_count(&scraped, "wal/fsync-duration")
+    );
     assert_eq!(hist_count(&scraped, "obs/op/bulk_build"), 1);
     assert_eq!(hist_count(&scraped, "obs/op/insert_after"), 1);
     assert_eq!(hist_count(&scraped, "obs/op/insert_before"), 1);
@@ -88,6 +103,14 @@ fn tcp_metrics_scrape_agrees_with_the_in_process_registry() {
     // Server-side series ride along: request counting and per-request
     // phase histograms are present and nonzero in the scrape.
     assert!(counter(&scraped, "net/requests") >= 8);
+    // The connection's own counters: the in-process read can only run
+    // ahead of the scrape (it may also count the scrape's request).
+    let conn_trips = counter(&local, "net/conn0/round-trips");
+    assert!(counter(&scraped, "net/conn0/round-trips") <= conn_trips);
+    assert!(
+        conn_trips >= 8,
+        "handshake and the 7 calls before the scrape"
+    );
     for phase in ["decode", "lock-wait", "apply", "encode"] {
         assert!(
             hist_count(&scraped, &format!("net/phase/{phase}")) > 0,
@@ -150,4 +173,24 @@ fn sharded_merges_traced_metrics_across_segments() {
         MetricValue::Histogram(h) => assert_eq!(h.count, 4, "all four segments' builds merged"),
         other => panic!("expected a histogram, got {other:?}"),
     }
+}
+
+/// `sharded(…,served(…))` reports one merged client transport series
+/// spanning every segment's connection, not one per segment.
+#[test]
+fn sharded_merges_served_transport_counters() {
+    let mut s = default_registry()
+        .build("sharded(2,served(ltree(4,2)))")
+        .unwrap();
+    let hs = s.bulk_build(20).unwrap();
+    s.insert_after(hs[3]).unwrap();
+    let ms = s.metrics();
+    let trips: Vec<&Metric> = ms.iter().filter(|m| m.name == "net/round-trips").collect();
+    assert_eq!(trips.len(), 1, "one merged series, not one per segment");
+    // Per segment client: handshake, bulk build and its scrape; plus
+    // the one insert.
+    assert!(counter(&ms, "net/round-trips") >= 7, "{:?}", trips[0]);
+    // The breakdown stays the per-segment cost record.
+    let names: Vec<String> = s.stats_breakdown().into_iter().map(|(n, _)| n).collect();
+    assert_eq!(names, ["shard0", "shard1"]);
 }

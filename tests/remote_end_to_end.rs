@@ -8,14 +8,15 @@ use ltree::gen::{book_catalog_profile, generate};
 use ltree::prelude::*;
 
 /// Client round trips so far, read through the `Instrumented` facet —
-/// the `net/round-trips` breakdown entry (its value rides in
-/// `node_touches`). The read itself costs one round trip, which is
-/// *included* in the returned number.
+/// the `net/round-trips` metric counter. The read itself costs one round
+/// trip, which is *included* in the returned number.
 fn round_trips(s: &dyn DynScheme) -> u64 {
-    s.stats_breakdown()
+    s.metrics()
         .iter()
-        .find(|(name, _)| name == "net/round-trips")
-        .map(|(_, st)| st.node_touches)
+        .find_map(|m| match m.value {
+            ltree::MetricValue::Counter(v) if m.name == "net/round-trips" => Some(v),
+            _ => None,
+        })
         .expect("remote schemes expose net/round-trips")
 }
 
@@ -28,7 +29,7 @@ fn bulk_load_is_constant_round_trips() {
     let mut scheme = Scheme::build("served(ltree(4,2))").unwrap();
     scheme.bulk_build(10_000).unwrap();
     let rt = round_trips(&*scheme);
-    // Handshake + bulk build + the breakdown read itself.
+    // Handshake + bulk build + the metrics read itself.
     assert!(rt <= 8, "10k-item bulk load took {rt} round trips");
 
     // The per-op reference path at 1/10 scale: one trip per insert.
@@ -71,7 +72,7 @@ fn splices_are_one_round_trip_each() {
         .deleted();
     assert_eq!(deleted, 2_000);
     let spent = round_trips(&*scheme) - before;
-    // Two splices + two breakdown reads.
+    // Two splices + two metrics reads.
     assert!(spent <= 4, "two splices took {spent} trips");
     assert_eq!(scheme.live_len(), 3_100);
 }

@@ -19,13 +19,15 @@ use ltree::prelude::*;
 use ltree::remote::ClientPolicy;
 use ltree::LTreeError;
 
-/// Client round trips so far, via the `net/round-trips` breakdown entry
-/// (value in `node_touches`). The read itself costs one trip, included.
+/// Client round trips so far, via the `net/round-trips` metric counter.
+/// The read itself costs one trip, included.
 fn round_trips(s: &dyn DynScheme) -> u64 {
-    s.stats_breakdown()
+    s.metrics()
         .iter()
-        .find(|(name, _)| name == "net/round-trips")
-        .map(|(_, st)| st.node_touches)
+        .find_map(|m| match m.value {
+            ltree::MetricValue::Counter(v) if m.name == "net/round-trips" => Some(v),
+            _ => None,
+        })
         .expect("remote schemes expose net/round-trips")
 }
 
@@ -65,10 +67,12 @@ fn pooled_readers_spread_across_connections() {
     let busy = scheme
         .server()
         .unwrap()
-        .stats_breakdown()
+        .metrics()
         .iter()
-        .filter(|(name, st)| {
-            name.starts_with("net/conn") && name.ends_with("round-trips") && st.node_touches > 1
+        .filter(|m| {
+            m.name.starts_with("net/conn")
+                && m.name.ends_with("/round-trips")
+                && matches!(m.value, ltree::MetricValue::Counter(v) if v > 1)
         })
         .count();
     assert!(

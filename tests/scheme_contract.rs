@@ -21,6 +21,7 @@
 
 use ltree::prelude::*;
 use ltree::rng::SplitMix64;
+use ltree::SchemeStats;
 
 /// Every scheme family the workspace ships, plus parameter variants that
 /// stress different shapes (wide L-Tree, minimal gap, sharded composites
@@ -654,4 +655,66 @@ fn invariants_hold_after_contract_streams() {
         h.check_cursor();
     }
     v.check_invariants().unwrap();
+}
+
+/// The `stats_breakdown` sum contract: each `SchemeStats` field summed
+/// over the breakdown stays at or below the aggregate's. `None` when it
+/// holds, otherwise what broke it.
+fn breakdown_excess(aggregate: &SchemeStats, parts: &[(String, SchemeStats)]) -> Option<String> {
+    let sum = parts
+        .iter()
+        .fold(SchemeStats::default(), |acc, (_, s)| SchemeStats {
+            inserts: acc.inserts + s.inserts,
+            deletes: acc.deletes + s.deletes,
+            label_writes: acc.label_writes + s.label_writes,
+            node_touches: acc.node_touches + s.node_touches,
+            relabel_events: acc.relabel_events + s.relabel_events,
+        });
+    (!aggregate.dominates(&sum))
+        .then(|| format!("breakdown sums to {sum:?}, above the aggregate {aggregate:?}"))
+}
+
+/// After a seeded stream, every spec's breakdown sums to at most its
+/// aggregate: the breakdown holds the paper's cost per segment and
+/// nothing else (transport, log and audit counts live in `metrics()`).
+#[test]
+fn stats_breakdown_sums_to_at_most_the_aggregate() {
+    for spec in SPECS {
+        for seed in 0..2u64 {
+            let mut rng = SplitMix64::new(seed);
+            let initial = rng.gen_range(1..50);
+            let stream_len = rng.gen_range(1..60);
+            let ops = random_ops(&mut rng, stream_len);
+            let mut h = Harness::new(build(spec), initial, format!("{spec} seed {seed}"));
+            for op in &ops {
+                h.apply(op, true);
+            }
+            let (aggregate, parts) = (h.scheme.scheme_stats(), h.scheme.stats_breakdown());
+            if let Some(excess) = breakdown_excess(&aggregate, &parts) {
+                panic!("{spec} seed {seed}: {excess}");
+            }
+        }
+    }
+}
+
+/// Seeded failure for the check above: one non-cost entry of the shape
+/// a transport count once took — a byte count carried in
+/// `node_touches` — appended to a real breakdown trips it.
+#[test]
+fn breakdown_sum_check_fires_on_a_non_cost_entry() {
+    let mut s = build("served(ltree(4,2))");
+    let hs = s.bulk_build(16).unwrap();
+    s.insert_after(hs[7]).unwrap();
+    let aggregate = s.scheme_stats();
+    let mut parts = s.stats_breakdown();
+    assert_eq!(breakdown_excess(&aggregate, &parts), None);
+    parts.push((
+        "net/bytes-in".into(),
+        SchemeStats {
+            node_touches: 67,
+            ..SchemeStats::default()
+        },
+    ));
+    let excess = breakdown_excess(&aggregate, &parts).expect("the check must fire");
+    assert!(excess.contains("node_touches: 67"), "{excess}");
 }

@@ -121,30 +121,26 @@ fn uniform_pipeline_with_baseline_scheme() {
 
 #[test]
 fn bulk_load_issues_10x_fewer_mut_calls_than_per_node() {
-    use ltree::probe::CallCounter;
+    use ltree::obs::{mutation_calls, TracedScheme};
     // The acceptance bar for splice-driven bulk loading: on a 10k-node
     // document, the bulk path must issue at least 10× fewer
     // OrderedLabelingMut/BatchLabeling calls than labeling one tag at a
     // time — while doing the same logical work.
     let tree = generate(&auction_profile(10_000), 42);
     let params = Params::new(4, 2).unwrap();
-    let bulk = Document::from_tree(tree.clone(), CallCounter::new(LTree::new(params))).unwrap();
-    let incr = Document::from_tree_incremental(tree, CallCounter::new(LTree::new(params))).unwrap();
+    let bulk = Document::from_tree(tree.clone(), TracedScheme::new(LTree::new(params))).unwrap();
+    let incr =
+        Document::from_tree_incremental(tree, TracedScheme::new(LTree::new(params))).unwrap();
     bulk.validate().unwrap();
     incr.validate().unwrap();
 
-    let (b, i) = (bulk.scheme().counts(), incr.scheme().counts());
-    assert_eq!(
-        i.mutation_calls(),
-        20_000,
-        "per-node path pays one call per tag"
-    );
-    assert_eq!(b.mutation_calls(), 1, "bulk path is a single scheme call");
+    let b = mutation_calls(&bulk.scheme().metrics());
+    let i = mutation_calls(&incr.scheme().metrics());
+    assert_eq!(i, 20_000, "per-node path pays one call per tag");
+    assert_eq!(b, 1, "bulk path is a single scheme call");
     assert!(
-        10 * b.mutation_calls() <= i.mutation_calls(),
-        "bulk path must issue >= 10x fewer mutation calls ({} vs {})",
-        b.mutation_calls(),
-        i.mutation_calls()
+        10 * b <= i,
+        "bulk path must issue >= 10x fewer mutation calls ({b} vs {i})"
     );
 
     // And in SchemeStats currency: both paths track the same 20k leaves,
@@ -169,23 +165,24 @@ fn bulk_load_issues_10x_fewer_mut_calls_than_per_node() {
 
 #[test]
 fn fragment_batches_beat_per_element_insertion() {
-    use ltree::probe::CallCounter;
+    use ltree::obs::{mutation_calls, TracedScheme};
     // The same bar for incremental growth: inserting a 50-element
     // fragment is one splice, not 100 single inserts.
     let params = Params::new(4, 2).unwrap();
-    let mut doc = Document::parse_str("<r><a/></r>", CallCounter::new(LTree::new(params))).unwrap();
+    let mut doc =
+        Document::parse_str("<r><a/></r>", TracedScheme::new(LTree::new(params))).unwrap();
     let root = doc.tree().root().unwrap();
     let (mut frag, fr) = XmlTree::with_root("chunk");
     for i in 0..49 {
         frag.add_child(fr, if i % 2 == 0 { "x" } else { "y" })
             .unwrap();
     }
-    let before = doc.scheme().counts().mutation_calls();
+    let before = mutation_calls(&doc.scheme().metrics());
     for i in 0..10 {
         doc.insert_fragment(root, i, &frag).unwrap();
     }
     assert_eq!(
-        doc.scheme().counts().mutation_calls() - before,
+        mutation_calls(&doc.scheme().metrics()) - before,
         10,
         "one splice per 50-element fragment"
     );
