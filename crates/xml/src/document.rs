@@ -7,10 +7,14 @@
 //! Ancestor–descendant tests become interval containment (Figure 1);
 //! subtree insertion maps to one batch leaf insertion (Section 4.1);
 //! subtree deletion tombstones leaves without relabeling (Section 2.3).
+//!
+//! The labels live in a dense table indexed by the element's DOM slot
+//! ([`XmlNodeId::raw`]), so a label lookup is an array access, and
+//! binding a tree of `n` elements is one walk of `n` steps.
 
 use std::collections::HashMap;
 
-use crate::dom::{XmlNodeId, XmlTree};
+use crate::dom::{Content, XmlNodeId, XmlTree};
 use crate::error::{Result, XmlError};
 use crate::join::SpanRec;
 use crate::tags::TagId;
@@ -26,10 +30,16 @@ struct NodeMeta {
 
 /// An XML document whose element order is maintained by a labeling
 /// scheme `S`. See the [module docs](self).
+///
+/// Every edit either completes or leaves the document as it was: a
+/// failed scheme call undoes its DOM side (except in
+/// [`move_subtree`](Self::move_subtree), whose released leaves cannot be
+/// restored).
 pub struct Document<S: LabelingScheme> {
     tree: XmlTree,
     scheme: S,
-    meta: HashMap<XmlNodeId, NodeMeta>,
+    /// Labels per element, indexed by DOM slot; `None` for a free slot.
+    meta: Vec<Option<NodeMeta>>,
     tag_index: HashMap<TagId, Vec<XmlNodeId>>,
 }
 
@@ -45,21 +55,10 @@ impl<S: LabelingScheme> Document<S> {
     /// [`from_tree_incremental`](Self::from_tree_incremental) keeps the
     /// per-node path for comparison.
     pub fn from_tree(tree: XmlTree, mut scheme: S) -> Result<Self> {
-        let count = tree.element_count();
-        let handles = scheme.bulk_build(2 * count)?;
-        let mut doc = Document {
-            tree,
-            scheme,
-            meta: HashMap::new(),
-            tag_index: HashMap::new(),
-        };
+        let handles = scheme.bulk_build(2 * tree.element_count())?;
+        let mut doc = Self::unlabeled(tree, scheme);
         if let Some(root) = doc.tree.root() {
             doc.assign_handles(root, 0, &handles)?;
-        }
-        let ids = doc.tree.all_elements();
-        for id in ids {
-            let tag = doc.tree.tag(id)?;
-            doc.tag_index.entry(tag).or_default().push(id);
         }
         Ok(doc)
     }
@@ -76,56 +75,17 @@ impl<S: LabelingScheme> Document<S> {
     /// the splice-driven bulk path is measured against; the conformance
     /// suite asserts both paths produce identical documents.
     pub fn from_tree_incremental(tree: XmlTree, scheme: S) -> Result<Self> {
-        let mut doc = Document {
-            tree,
-            scheme,
-            meta: HashMap::new(),
-            tag_index: HashMap::new(),
-        };
+        let mut doc = Self::unlabeled(tree, scheme);
         if let Some(root) = doc.tree.root() {
-            enum Ev {
-                Enter(XmlNodeId, u32),
-                Exit(XmlNodeId),
-            }
-            let mut stack = vec![Ev::Enter(root, 0)];
             let mut prev: Option<LeafHandle> = None;
-            let mut pending: HashMap<XmlNodeId, (LeafHandle, u32)> = HashMap::new();
-            while let Some(ev) = stack.pop() {
-                match ev {
-                    Ev::Enter(id, depth) => {
-                        let h = match prev {
-                            None => doc.scheme.insert_first()?,
-                            Some(p) => doc.scheme.insert_after(p)?,
-                        };
-                        prev = Some(h);
-                        pending.insert(id, (h, depth));
-                        stack.push(Ev::Exit(id));
-                        let children = doc.tree.child_elements(id)?;
-                        for c in children.into_iter().rev() {
-                            stack.push(Ev::Enter(c, depth + 1));
-                        }
-                    }
-                    Ev::Exit(id) => {
-                        let h = doc
-                            .scheme
-                            .insert_after(prev.expect("enter precedes exit"))?;
-                        prev = Some(h);
-                        let (begin, depth) = pending.remove(&id).expect("enter precedes exit");
-                        doc.meta.insert(
-                            id,
-                            NodeMeta {
-                                begin,
-                                end: h,
-                                depth,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-        for id in doc.tree.all_elements() {
-            let tag = doc.tree.tag(id)?;
-            doc.tag_index.entry(tag).or_default().push(id);
+            doc.label_subtree(root, 0, |scheme| {
+                let h = match prev {
+                    None => scheme.insert_first()?,
+                    Some(p) => scheme.insert_after(p)?,
+                };
+                prev = Some(h);
+                Ok(h)
+            })?;
         }
         Ok(doc)
     }
@@ -157,21 +117,31 @@ impl<S: LabelingScheme> Document<S> {
                 ),
             });
         }
-        let mut doc = Document {
-            tree,
-            scheme,
-            meta: HashMap::new(),
-            tag_index: HashMap::new(),
-        };
+        let mut doc = Self::unlabeled(tree, scheme);
         if let Some(root) = doc.tree.root() {
             doc.assign_handles(root, 0, live_handles)?;
         }
-        for id in doc.tree.all_elements() {
-            let tag = doc.tree.tag(id)?;
-            doc.tag_index.entry(tag).or_default().push(id);
-        }
         doc.validate()?;
         Ok(doc)
+    }
+
+    /// `tree` and `scheme` with the tag index built and no labels yet.
+    fn unlabeled(tree: XmlTree, scheme: S) -> Self {
+        let mut doc = Document {
+            tree,
+            scheme,
+            meta: Vec::new(),
+            tag_index: HashMap::new(),
+        };
+        for id in doc.tree.all_elements() {
+            doc.index_tag(id);
+        }
+        doc
+    }
+
+    fn index_tag(&mut self, id: XmlNodeId) {
+        let tag = self.tree.tag(id).expect("indexed elements are live");
+        self.tag_index.entry(tag).or_default().push(id);
     }
 
     /// Verify that the scheme's own cursor order agrees with strictly
@@ -203,35 +173,58 @@ impl<S: LabelingScheme> Document<S> {
         root_depth: u32,
         handles: &[LeafHandle],
     ) -> Result<()> {
-        enum Ev {
-            Enter(XmlNodeId, u32),
-            Exit(XmlNodeId),
-        }
-        let mut stack = vec![Ev::Enter(root, root_depth)];
-        let mut cursor = 0usize;
-        let mut pending: HashMap<XmlNodeId, (LeafHandle, u32)> = HashMap::new();
-        while let Some(ev) = stack.pop() {
-            match ev {
-                Ev::Enter(id, depth) => {
-                    let begin = handles[cursor];
-                    cursor += 1;
-                    pending.insert(id, (begin, depth));
-                    stack.push(Ev::Exit(id));
-                    let children = self.tree.child_elements(id)?;
-                    for c in children.into_iter().rev() {
-                        stack.push(Ev::Enter(c, depth + 1));
-                    }
+        let mut tags = handles.iter().copied();
+        self.label_subtree(root, root_depth, |_| {
+            Ok(tags.next().expect("2 tags per element"))
+        })?;
+        debug_assert!(tags.next().is_none(), "exactly 2 tags per element");
+        Ok(())
+    }
+
+    /// Label the subtree at `root` in one document-order walk, taking
+    /// each begin and end tag's handle from `next_tag` in turn.
+    fn label_subtree(
+        &mut self,
+        root: XmlNodeId,
+        root_depth: u32,
+        mut next_tag: impl FnMut(&mut S) -> Result<LeafHandle>,
+    ) -> Result<()> {
+        // Cover every slot, including those a graft just added.
+        self.meta.resize(self.tree.slot_count(), None);
+        // (element, depth, begin handle, next content position to visit)
+        let mut stack = vec![(root, root_depth, next_tag(&mut self.scheme)?, 0usize)];
+        while let Some(top) = stack.last_mut() {
+            let (id, depth, begin, pos) = *top;
+            let content = &self.tree.element(id)?.content;
+            let child = content[pos..]
+                .iter()
+                .enumerate()
+                .find_map(|(i, c)| match c {
+                    Content::Element(e) => Some((pos + i + 1, *e)),
+                    Content::Text(_) => None,
+                });
+            match child {
+                Some((resume, child)) => {
+                    top.3 = resume;
+                    stack.push((child, depth + 1, next_tag(&mut self.scheme)?, 0));
                 }
-                Ev::Exit(id) => {
-                    let end = handles[cursor];
-                    cursor += 1;
-                    let (begin, depth) = pending.remove(&id).expect("enter precedes exit");
-                    self.meta.insert(id, NodeMeta { begin, end, depth });
+                None => {
+                    stack.pop();
+                    let end = next_tag(&mut self.scheme)?;
+                    self.meta[id.raw() as usize] = Some(NodeMeta { begin, end, depth });
                 }
             }
         }
-        debug_assert_eq!(cursor, handles.len(), "exactly 2 tags per element");
         Ok(())
+    }
+
+    /// The labels of a live element.
+    fn meta(&self, id: XmlNodeId) -> Result<NodeMeta> {
+        self.meta
+            .get(id.raw() as usize)
+            .copied()
+            .flatten()
+            .ok_or(XmlError::UnknownNode)
     }
 
     // ------------------------------------------------------------------
@@ -263,7 +256,7 @@ impl<S: LabelingScheme> Document<S> {
 
     /// The `(begin, end)` region labels of an element.
     pub fn span(&self, id: XmlNodeId) -> Result<(u128, u128)> {
-        let meta = self.meta.get(&id).ok_or(XmlError::UnknownNode)?;
+        let meta = self.meta(id)?;
         Ok((
             self.scheme.label_of(meta.begin)?,
             self.scheme.label_of(meta.end)?,
@@ -272,17 +265,20 @@ impl<S: LabelingScheme> Document<S> {
 
     /// Depth of an element (root = 0) — maintained incrementally.
     pub fn depth(&self, id: XmlNodeId) -> Result<u32> {
-        Ok(self.meta.get(&id).ok_or(XmlError::UnknownNode)?.depth)
+        Ok(self.meta(id)?.depth)
     }
 
     /// Full span record for joins.
     pub fn span_rec(&self, id: XmlNodeId) -> Result<SpanRec> {
-        let meta = self.meta.get(&id).ok_or(XmlError::UnknownNode)?;
+        self.rec(id, self.meta(id)?)
+    }
+
+    fn rec(&self, node: XmlNodeId, meta: NodeMeta) -> Result<SpanRec> {
         Ok(SpanRec {
             begin: self.scheme.label_of(meta.begin)?,
             end: self.scheme.label_of(meta.end)?,
             depth: meta.depth,
-            node: id,
+            node,
         })
     }
 
@@ -310,8 +306,9 @@ impl<S: LabelingScheme> Document<S> {
     pub fn all_spans(&self) -> Result<Vec<SpanRec>> {
         let mut out: Vec<SpanRec> = self
             .meta
-            .keys()
-            .map(|&id| self.span_rec(id))
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, meta)| Some(self.rec(XmlNodeId(slot as u32), (*meta)?)))
             .collect::<Result<_>>()?;
         out.sort_unstable_by_key(|s| s.begin);
         Ok(out)
@@ -431,17 +428,7 @@ impl<S: LabelingScheme> Document<S> {
         for fragment in fragments {
             fragment.root().ok_or(XmlError::UnknownNode)?;
         }
-        let parent_meta = *self.meta.get(&parent).ok_or(XmlError::UnknownNode)?;
-        let children = self.tree.child_elements(parent)?;
-        let idx = index.min(children.len());
-        let anchor = if idx == 0 {
-            parent_meta.begin
-        } else {
-            self.meta
-                .get(&children[idx - 1])
-                .ok_or(XmlError::UnknownNode)?
-                .end
-        };
+        let (parent_meta, idx, anchor) = self.insertion_point(parent, index)?;
         // Graft every fragment into the DOM first, then label the whole
         // sibling run with one splice.
         let mut grafted: Vec<Vec<XmlNodeId>> = Vec::with_capacity(fragments.len());
@@ -455,7 +442,16 @@ impl<S: LabelingScheme> Document<S> {
             }
             grafted.push(ids);
         }
-        let runs = builder.apply(&mut self.scheme)?;
+        let runs = match builder.apply(&mut self.scheme) {
+            Ok(runs) => runs,
+            Err(e) => {
+                // Nothing was labeled: take the grafts back out.
+                for ids in &grafted {
+                    self.tree.remove_subtree(ids[0])?;
+                }
+                return Err(e.into());
+            }
+        };
         let handles = &runs[0];
         let mut offset = 0usize;
         for ids in &grafted {
@@ -467,11 +463,29 @@ impl<S: LabelingScheme> Document<S> {
             )?;
             offset += take;
             for &id in ids {
-                let tag = self.tree.tag(id)?;
-                self.tag_index.entry(tag).or_default().push(id);
+                self.index_tag(id);
             }
         }
         Ok(grafted)
+    }
+
+    /// Where a new `index`-th element child of `parent` goes: the
+    /// parent's labels, the clamped child index, and the leaf its begin
+    /// tag follows (the parent's begin tag, or the previous sibling's
+    /// end tag).
+    fn insertion_point(
+        &self,
+        parent: XmlNodeId,
+        index: usize,
+    ) -> Result<(NodeMeta, usize, LeafHandle)> {
+        let parent_meta = self.meta(parent)?;
+        let children = self.tree.child_elements(parent)?;
+        let idx = index.min(children.len());
+        let anchor = match idx {
+            0 => parent_meta.begin,
+            _ => self.meta(children[idx - 1])?.end,
+        };
+        Ok((parent_meta, idx, anchor))
     }
 
     /// Insert a single fresh element (no children) — the paper's single
@@ -488,7 +502,7 @@ impl<S: LabelingScheme> Document<S> {
 
     /// Append a text run to an element (text carries no labels).
     pub fn add_text(&mut self, id: XmlNodeId, text: &str) -> Result<()> {
-        self.meta.get(&id).ok_or(XmlError::UnknownNode)?;
+        self.meta(id)?;
         self.tree.add_text(id, text)
     }
 
@@ -509,7 +523,7 @@ impl<S: LabelingScheme> Document<S> {
         // Release the old leaves (tombstones only): the subtree's tags
         // are exactly the live leaves between its root's begin and end,
         // so one delete-run splice covers all of them.
-        let root_meta = *self.meta.get(&id).ok_or(XmlError::UnknownNode)?;
+        let root_meta = self.meta(id)?;
         let released = self
             .scheme
             .splice(Splice::DeleteRun {
@@ -519,22 +533,12 @@ impl<S: LabelingScheme> Document<S> {
             .deleted();
         debug_assert_eq!(released, 2 * order.len(), "run covers the whole subtree");
         for &e in &order {
-            self.meta.remove(&e).ok_or(XmlError::UnknownNode)?;
+            self.meta[e.raw() as usize] = None;
         }
         self.tree.detach_subtree(id)?;
         // Splice at the destination and relabel the moved subtree with
         // one batch of fresh leaves.
-        let parent_meta = *self.meta.get(&new_parent).ok_or(XmlError::UnknownNode)?;
-        let children = self.tree.child_elements(new_parent)?;
-        let idx = index.min(children.len());
-        let anchor = if idx == 0 {
-            parent_meta.begin
-        } else {
-            self.meta
-                .get(&children[idx - 1])
-                .ok_or(XmlError::UnknownNode)?
-                .end
-        };
+        let (parent_meta, idx, anchor) = self.insertion_point(new_parent, index)?;
         self.tree.attach_subtree(new_parent, idx, id)?;
         let handles = self
             .scheme
@@ -550,24 +554,30 @@ impl<S: LabelingScheme> Document<S> {
     /// Delete the subtree rooted at `id` (not the root). The scheme
     /// leaves are tombstoned — no relabeling happens (paper, §2.3) — via
     /// a single delete-run splice over the subtree's contiguous tag run.
-    /// Returns the number of elements removed.
+    /// The splice runs before the DOM frees anything, so a failed splice
+    /// leaves the document untouched. Returns the number of elements
+    /// removed.
     pub fn delete_subtree(&mut self, id: XmlNodeId) -> Result<usize> {
-        let root_meta = *self.meta.get(&id).ok_or(XmlError::UnknownNode)?;
-        let removed = self.tree.remove_subtree(id)?;
+        let root_meta = self.meta(id)?;
+        if self.tree.parent(id)?.is_none() {
+            return Err(XmlError::CannotRemoveRoot);
+        }
+        let count = 2 * self.tree.dfs(id)?.len();
         let released = self
             .scheme
             .splice(Splice::DeleteRun {
                 first: root_meta.begin,
-                count: 2 * removed.len(),
+                count,
             })?
             .deleted();
-        debug_assert_eq!(released, 2 * removed.len(), "run covers the whole subtree");
+        debug_assert_eq!(released, count, "run covers the whole subtree");
+        let removed = self.tree.remove_subtree(id)?;
         for &e in &removed {
-            self.meta.remove(&e).ok_or(XmlError::UnknownNode)?;
+            self.meta[e.raw() as usize] = None;
         }
-        let gone: std::collections::HashSet<XmlNodeId> = removed.iter().copied().collect();
+        let meta = &self.meta;
         for ids in self.tag_index.values_mut() {
-            ids.retain(|i| !gone.contains(i));
+            ids.retain(|i| meta[i.raw() as usize].is_some());
         }
         Ok(removed.len())
     }
@@ -578,7 +588,8 @@ impl<S: LabelingScheme> Document<S> {
 
     /// Verify that labels, depths and the tag index agree with the DOM:
     /// document order by labels equals DFS order; every parent's region
-    /// strictly contains its children's; depths match.
+    /// strictly contains its children's; depths match; the label table
+    /// holds exactly one entry per live element.
     pub fn validate(&self) -> Result<()> {
         let Some(root) = self.tree.root() else {
             return Ok(());
@@ -631,6 +642,18 @@ impl<S: LabelingScheme> Document<S> {
                 msg: format!("tag index covers {indexed} of {} elements", order.len()),
             });
         }
+        // No labels left behind for removed elements.
+        let labeled = self.meta.iter().filter(|m| m.is_some()).count();
+        if labeled != self.element_count() {
+            return Err(XmlError::Parse {
+                line: 0,
+                col: 0,
+                msg: format!(
+                    "label table holds {labeled} entries for {} elements",
+                    self.element_count()
+                ),
+            });
+        }
         self.check_scheme_order()
     }
 }
@@ -666,7 +689,10 @@ impl Document<Box<dyn DynScheme>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ltree_core::{Instrumented, LTree, Params};
+    use ltree_core::{
+        BatchLabeling, Instrumented, LTree, LTreeError, OrderedLabeling, OrderedLabelingMut,
+        Params, SchemeStats, SpliceResult,
+    };
 
     fn doc(xml: &str) -> Document<LTree> {
         Document::parse_str(xml, LTree::new(Params::new(4, 2).unwrap())).unwrap()
@@ -866,6 +892,173 @@ mod tests {
         assert_eq!(d.element_count(), 2);
         assert!(d.span(chapter).is_err());
         assert_eq!(d.spans_with_tag("title").unwrap().len(), 1);
+        d.validate().unwrap();
+    }
+
+    /// Forwards to an L-Tree, except that `splice` fails while `armed`.
+    struct Flaky {
+        inner: LTree,
+        armed: bool,
+    }
+
+    impl OrderedLabeling for Flaky {
+        fn name(&self) -> &'static str {
+            "flaky"
+        }
+        fn label_of(&self, h: LeafHandle) -> ltree_core::Result<u128> {
+            self.inner.label_of(h)
+        }
+        fn len(&self) -> usize {
+            OrderedLabeling::len(&self.inner)
+        }
+        fn live_len(&self) -> usize {
+            OrderedLabeling::live_len(&self.inner)
+        }
+        fn first_in_order(&self) -> Option<LeafHandle> {
+            self.inner.first_in_order()
+        }
+        fn next_in_order(&self, h: LeafHandle) -> Option<LeafHandle> {
+            self.inner.next_in_order(h)
+        }
+        fn label_space_bits(&self) -> u32 {
+            OrderedLabeling::label_space_bits(&self.inner)
+        }
+        fn memory_bytes(&self) -> usize {
+            OrderedLabeling::memory_bytes(&self.inner)
+        }
+    }
+
+    impl OrderedLabelingMut for Flaky {
+        fn bulk_build(&mut self, n: usize) -> ltree_core::Result<Vec<LeafHandle>> {
+            self.inner.bulk_build(n)
+        }
+        fn insert_first(&mut self) -> ltree_core::Result<LeafHandle> {
+            OrderedLabelingMut::insert_first(&mut self.inner)
+        }
+        fn insert_after(&mut self, anchor: LeafHandle) -> ltree_core::Result<LeafHandle> {
+            OrderedLabelingMut::insert_after(&mut self.inner, anchor)
+        }
+        fn insert_before(&mut self, anchor: LeafHandle) -> ltree_core::Result<LeafHandle> {
+            OrderedLabelingMut::insert_before(&mut self.inner, anchor)
+        }
+        fn delete(&mut self, h: LeafHandle) -> ltree_core::Result<()> {
+            OrderedLabelingMut::delete(&mut self.inner, h)
+        }
+    }
+
+    impl BatchLabeling for Flaky {
+        fn splice(&mut self, op: Splice) -> ltree_core::Result<SpliceResult> {
+            if self.armed {
+                return Err(LTreeError::Remote {
+                    context: "seeded splice failure".into(),
+                });
+            }
+            self.inner.splice(op)
+        }
+    }
+
+    impl Instrumented for Flaky {
+        fn scheme_stats(&self) -> SchemeStats {
+            self.inner.scheme_stats()
+        }
+        fn reset_scheme_stats(&mut self) {
+            self.inner.reset_scheme_stats()
+        }
+    }
+
+    #[test]
+    fn a_failed_splice_leaves_the_document_untouched() {
+        let flaky = Flaky {
+            inner: LTree::new(Params::new(4, 2).unwrap()),
+            armed: false,
+        };
+        let mut d = Document::parse_str(FIG1, flaky).unwrap();
+        let root = d.tree().root().unwrap();
+        let chapter = d.tree().child_elements(root).unwrap()[0];
+        let (mut appendix, ar) = XmlTree::with_root("appendix");
+        appendix.add_child(ar, "note").unwrap();
+        let (index, _) = XmlTree::with_root("index");
+        let fragments = [appendix, index];
+        let before = |d: &Document<Flaky>| {
+            d.validate().unwrap();
+            (
+                d.element_count(),
+                d.tree().child_elements(root).unwrap(),
+                d.all_spans().unwrap(),
+            )
+        };
+        let untouched = before(&d);
+
+        d.scheme.armed = true;
+        assert!(matches!(
+            d.insert_fragments(root, 1, &fragments),
+            Err(XmlError::Label(LTreeError::Remote { .. }))
+        ));
+        assert_eq!(before(&d), untouched, "a failed insert grafts nothing");
+        assert!(matches!(
+            d.delete_subtree(chapter),
+            Err(XmlError::Label(LTreeError::Remote { .. }))
+        ));
+        assert_eq!(before(&d), untouched, "a failed delete frees nothing");
+
+        // Disarmed, the same edits go through.
+        d.scheme.armed = false;
+        let ids = d.insert_fragments(root, 1, &fragments).unwrap();
+        assert_eq!(d.element_count(), 7);
+        assert_eq!(d.tree().child_elements(root).unwrap()[1], ids[0][0]);
+        assert_eq!(d.delete_subtree(chapter).unwrap(), 2);
+        assert_eq!(d.element_count(), 5);
+        d.validate().unwrap();
+    }
+
+    #[test]
+    fn validate_flags_a_label_left_behind_by_a_removed_element() {
+        let mut d = doc(FIG1);
+        let root = d.tree().root().unwrap();
+        let chapter = d.tree().child_elements(root).unwrap()[0];
+        let stale = d.meta[chapter.raw() as usize];
+        d.delete_subtree(chapter).unwrap();
+        d.validate().unwrap();
+        // Seeded defect: the removed chapter keeps its labels.
+        d.meta[chapter.raw() as usize] = stale;
+        let err = d.validate().unwrap_err().to_string();
+        assert!(
+            err.contains("label table holds 3 entries for 2 elements"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn a_deleted_id_is_unknown_until_its_slot_is_reused() {
+        let mut d = doc(FIG1);
+        let root = d.tree().root().unwrap();
+        let kids = d.tree().child_elements(root).unwrap();
+        let (chapter, top_title) = (kids[0], kids[1]);
+        let inner = d.tree().child_elements(chapter).unwrap()[0];
+        d.delete_subtree(chapter).unwrap();
+        for id in [chapter, inner] {
+            assert!(matches!(d.span(id), Err(XmlError::UnknownNode)));
+            assert!(matches!(d.depth(id), Err(XmlError::UnknownNode)));
+        }
+        // A two-element fragment after the top title takes both freed
+        // slots, and the old ids now answer with the new elements' labels.
+        let (mut frag, fr) = XmlTree::with_root("appendix");
+        frag.add_child(fr, "note").unwrap();
+        let ids = d.insert_fragment(root, 1, &frag).unwrap();
+        let mut reused: Vec<u32> = ids.iter().map(|id| id.raw()).collect();
+        reused.sort_unstable();
+        let mut freed = vec![chapter.raw(), inner.raw()];
+        freed.sort_unstable();
+        assert_eq!(reused, freed);
+        let (_, title_end) = d.span(top_title).unwrap();
+        let (root_begin, root_end) = d.span(root).unwrap();
+        for (id, depth) in [(ids[0], 1), (ids[1], 2)] {
+            let (b, e) = d.span(id).unwrap();
+            assert!(title_end < b && e < root_end && root_begin < b);
+            assert_eq!(d.depth(id).unwrap(), depth);
+        }
+        assert!(d.is_ancestor(ids[0], ids[1]).unwrap());
+        assert_eq!(d.tree().tag_name(ids[0]).unwrap(), "appendix");
         d.validate().unwrap();
     }
 

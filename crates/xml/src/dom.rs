@@ -1,8 +1,11 @@
 //! Arena DOM for ordered XML trees.
 //!
 //! [`XmlTree`] stores elements in a slab (`Vec<Option<Element>>`) with
-//! ordered mixed content (child elements and text runs). It doubles as a
-//! *fragment* builder: the subtree-insertion API of
+//! ordered mixed content (child elements and text runs). Freed slots go
+//! on a stack and are handed out again first, so allocating or freeing
+//! an element is O(1) and parsing a document, grafting a fragment or
+//! removing a subtree costs time linear in its size. The tree doubles as
+//! a *fragment* builder: the subtree-insertion API of
 //! [`crate::Document`] grafts one tree into another.
 
 use crate::error::{Result, XmlError};
@@ -45,12 +48,17 @@ pub(crate) struct Element {
 }
 
 /// An ordered XML tree (or fragment). See the [module docs](self).
+///
+/// Element ids are slot indices. A removed element's slot is reused by a
+/// later allocation, so an id stays meaningful only while its element
+/// is live.
 #[derive(Debug, Default, Clone)]
 pub struct XmlTree {
     slots: Vec<Option<Element>>,
+    /// Indices of the empty slots; the last one is reused first.
+    free: Vec<u32>,
     root: Option<XmlNodeId>,
     pub(crate) tags: TagInterner,
-    n_live: usize,
 }
 
 impl XmlTree {
@@ -93,24 +101,32 @@ impl XmlTree {
 
     /// Number of live elements.
     pub fn element_count(&self) -> usize {
-        self.n_live
+        self.slots.len() - self.free.len()
     }
 
     /// True when the tree has no elements.
     pub fn is_empty(&self) -> bool {
-        self.n_live == 0
+        self.element_count() == 0
     }
 
+    /// One past the highest slot index ever allocated: every id this
+    /// tree has handed out has a [`raw`](XmlNodeId::raw) value below it.
+    pub(crate) fn slot_count(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Place `e` in the most recently freed slot, or grow the slab: O(1)
+    /// either way. The parser builds whole documents through here.
     fn alloc(&mut self, e: Element) -> XmlNodeId {
-        self.n_live += 1;
-        // Reuse the first free slot, if any (slabs stay compact for the
-        // fragment-sized trees this is used on).
-        if let Some(pos) = self.slots.iter().position(Option::is_none) {
-            self.slots[pos] = Some(e);
-            XmlNodeId(pos as u32)
-        } else {
-            self.slots.push(Some(e));
-            XmlNodeId(self.slots.len() as u32 - 1)
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = Some(e);
+                XmlNodeId(slot)
+            }
+            None => {
+                self.slots.push(Some(e));
+                XmlNodeId(self.slots.len() as u32 - 1)
+            }
         }
     }
 
@@ -203,15 +219,7 @@ impl XmlTree {
 
     /// Child *elements* only, in order.
     pub fn child_elements(&self, id: XmlNodeId) -> Result<Vec<XmlNodeId>> {
-        Ok(self
-            .element(id)?
-            .content
-            .iter()
-            .filter_map(|c| match c {
-                Content::Element(e) => Some(*e),
-                Content::Text(_) => None,
-            })
-            .collect())
+        Ok(element_ids(&self.element(id)?.content).collect())
     }
 
     /// Concatenated text content directly under `id` (not recursive).
@@ -233,10 +241,7 @@ impl XmlTree {
         let mut stack = vec![id];
         while let Some(cur) = stack.pop() {
             out.push(cur);
-            let children = self.child_elements(cur)?;
-            for c in children.into_iter().rev() {
-                stack.push(c);
-            }
+            stack.extend(element_ids(&self.element(cur)?.content).rev());
         }
         Ok(out)
     }
@@ -272,8 +277,10 @@ impl XmlTree {
         self.element(parent)?;
         let frag_root = fragment.root().ok_or(XmlError::UnknownNode)?;
         let order = fragment.dfs(frag_root)?;
-        // First pass: allocate ids in document order.
-        let mut map = std::collections::HashMap::with_capacity(order.len());
+        // First pass: allocate ids in document order. `map` is indexed
+        // by the fragment's slots.
+        let mut map = vec![XmlNodeId(u32::MAX); fragment.slots.len()];
+        let mut ids = Vec::with_capacity(order.len());
         for &old in &order {
             let e = fragment.element(old)?;
             let tag = self.tags.intern(fragment.tags.resolve(e.tag));
@@ -283,36 +290,31 @@ impl XmlTree {
                 content: Vec::new(),
                 attrs: e.attrs.clone(),
             });
-            map.insert(old, id);
+            map[old.0 as usize] = id;
+            ids.push(id);
         }
         // Second pass: wire parents and content.
-        for &old in &order {
-            let new_id = map[&old];
+        for (&old, &new_id) in order.iter().zip(&ids) {
             let old_e = fragment.element(old)?;
             let new_content: Vec<Content> = old_e
                 .content
                 .iter()
                 .map(|c| match c {
-                    Content::Element(e) => Content::Element(map[e]),
+                    Content::Element(e) => Content::Element(map[e.0 as usize]),
                     Content::Text(t) => Content::Text(t.clone()),
                 })
                 .collect();
-            let parent_id = match old_e.parent {
-                Some(p) => Some(map[&p]),
-                None => Some(parent),
-            };
             let e = self.element_mut(new_id)?;
             e.content = new_content;
-            e.parent = parent_id;
+            e.parent = Some(old_e.parent.map_or(parent, |p| map[p.0 as usize]));
         }
         // Splice the fragment root into the parent's content at the
         // position of its index-th element child.
-        let new_root = map[&frag_root];
         let content_pos = self.element_position(parent, index)?;
         self.element_mut(parent)?
             .content
-            .insert(content_pos, Content::Element(new_root));
-        Ok(order.into_iter().map(|old| map[&old]).collect())
+            .insert(content_pos, Content::Element(ids[0]));
+        Ok(ids)
     }
 
     /// Content position of the `index`-th element child (or end).
@@ -378,10 +380,18 @@ impl XmlTree {
         // Free the slots.
         for &e in &order {
             self.slots[e.0 as usize] = None;
-            self.n_live -= 1;
+            self.free.push(e.0);
         }
         Ok(order)
     }
+}
+
+/// The child-element ids in `content`, in order.
+fn element_ids(content: &[Content]) -> impl DoubleEndedIterator<Item = XmlNodeId> + '_ {
+    content.iter().filter_map(|c| match c {
+        Content::Element(e) => Some(*e),
+        Content::Text(_) => None,
+    })
 }
 
 #[cfg(test)]
@@ -444,19 +454,41 @@ mod tests {
     #[test]
     fn remove_subtree_frees_slots() {
         let (mut t, root, ch, title) = sample();
+        let keep = t.add_child(root, "appendix").unwrap();
+        let high_water = t.slot_count();
         let removed = t.remove_subtree(ch).unwrap();
         assert_eq!(removed, vec![ch, title]);
-        assert_eq!(t.element_count(), 1);
+        assert_eq!(t.element_count(), 2);
         assert!(!t.contains(ch));
         assert!(!t.contains(title));
-        assert!(t.child_elements(root).unwrap().is_empty());
+        assert_eq!(t.child_elements(root).unwrap(), vec![keep]);
         assert!(matches!(
             t.remove_subtree(root),
             Err(XmlError::CannotRemoveRoot)
         ));
-        // Slot reuse keeps the arena compact.
+        // The next two allocations, one per path, take exactly the two
+        // freed slots: nothing grows past the pre-removal high-water mark.
         let again = t.add_child(root, "chapter").unwrap();
-        assert!(t.contains(again));
+        let (frag, _) = XmlTree::with_root("index");
+        let grafted = t.graft(keep, 0, &frag).unwrap();
+        let mut reused = vec![again.raw(), grafted[0].raw()];
+        reused.sort_unstable();
+        let mut freed: Vec<u32> = removed.iter().map(|id| id.raw()).collect();
+        freed.sort_unstable();
+        assert_eq!(reused, freed);
+        assert!(reused.iter().all(|&r| (r as usize) < high_water));
+        assert_eq!(t.slot_count(), high_water);
+        assert_eq!(t.element_count(), 4);
+        // Survivors still resolve to their own tags; the reused slots to
+        // their new ones.
+        assert_eq!(t.tag_name(root).unwrap(), "book");
+        assert_eq!(t.tag_name(keep).unwrap(), "appendix");
+        assert_eq!(t.tag_name(again).unwrap(), "chapter");
+        assert_eq!(t.tag_name(grafted[0]).unwrap(), "index");
+        assert_eq!(t.parent(grafted[0]).unwrap(), Some(keep));
+        // Only now does the slab grow.
+        let fresh = t.add_child(root, "colophon").unwrap();
+        assert_eq!(fresh.raw() as usize, high_water);
     }
 
     #[test]

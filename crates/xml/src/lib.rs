@@ -13,11 +13,14 @@
 //!   references) with line/column error reporting;
 //! * [`dom`] — an arena DOM ([`XmlTree`]) with fragment building and
 //!   grafting, used both for documents and for insertion fragments;
+//!   freed slots are reused in O(1), so building a tree is linear in
+//!   its size;
 //! * [`serializer`] — back to text, with escaping and pretty-printing;
 //! * [`document`] — [`Document<S>`]: a DOM bound to any scheme of the
 //!   ordered-labeling trait family ([`ltree_core::LabelingScheme`]);
-//!   every element carries the labels of its begin/end tags, maintained
-//!   across subtree insertion/deletion. Schemes can be picked at runtime
+//!   every element carries the labels of its begin/end tags, kept in a
+//!   dense per-element table and maintained across subtree
+//!   insertion/deletion. Schemes can be picked at runtime
 //!   by name through `Document::parse_str_with` and a
 //!   [`ltree_core::registry::SchemeRegistry`];
 //! * [`query`] — a path-expression engine (`/a/b//c`, `//title`, `*`)

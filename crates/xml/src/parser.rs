@@ -89,7 +89,8 @@ impl<'a> Cursor<'a> {
         self.err(format!("unterminated construct, expected '{pat}'"))
     }
 
-    fn name(&mut self) -> Result<String> {
+    /// A name, borrowed from the input: open and close tags copy nothing.
+    fn name(&mut self) -> Result<&'a str> {
         let start = self.pos;
         match self.peek() {
             Some(b) if b.is_ascii_alphabetic() || b == b'_' || b == b':' => {
@@ -104,9 +105,7 @@ impl<'a> Cursor<'a> {
                 break;
             }
         }
-        Ok(std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("name bytes are ASCII")
-            .to_owned())
+        Ok(std::str::from_utf8(&self.bytes[start..self.pos]).expect("name bytes are ASCII"))
     }
 
     /// Decode an entity reference at the current position (after '&').
@@ -284,13 +283,13 @@ pub fn parse(input: &str) -> Result<XmlTree> {
                     cur.bump(); // '<'
                     let name = cur.name()?;
                     let id = match stack.last() {
-                        Some(&top) => tree.add_child(top, &name)?,
+                        Some(&top) => tree.add_child(top, name)?,
                         None => {
                             if seen_root {
                                 return cur.err("multiple root elements");
                             }
                             seen_root = true;
-                            tree.create_root(&name)?
+                            tree.create_root(name)?
                         }
                     };
                     // Attributes.
@@ -313,7 +312,7 @@ pub fn parse(input: &str) -> Result<XmlTree> {
                                 cur.expect(b'=')?;
                                 cur.skip_ws();
                                 let value = cur.attr_value()?;
-                                tree.set_attr(id, &attr, &value)?;
+                                tree.set_attr(id, attr, &value)?;
                             }
                             None => return cur.err("unterminated open tag"),
                         }
