@@ -9,16 +9,24 @@
 //! structural walkthroughs (X2, X11) build a concrete [`LTree`],
 //! because they read tree internals (splits, cascades, invariant
 //! checks) that the trait family deliberately does not expose.
+//!
+//! The update streams of X3–X11 are `xmlgen` edit scripts, each
+//! generated once and replayed by every scheme it compares: single-item
+//! profiles through the per-item loop, X8's batches as one splice each.
 
 use crate::table::{f, Table};
 use crate::Scale;
 use ltree::cost_model;
-use ltree::gen::{auction_profile, generate, run_workload, Workload};
+use ltree::gen::{auction_profile, generate, generate_edits, EditProfile};
+use ltree::obs::{mutation_histogram, TracedScheme};
 use ltree::tuning;
 use ltree::xml::{Document, Path, XmlTree};
 use ltree::{
     Cursor, DynScheme, Instrumented, LTree, OrderedLabeling, Params, SchemeConfig, SchemeRegistry,
 };
+
+/// Single inserts after uniformly random items.
+const UNIFORM: EditProfile = EditProfile::BulkLoad { run: 1 };
 
 /// Build one scheme from its registry spec.
 fn scheme(spec: &str) -> Box<dyn DynScheme> {
@@ -175,6 +183,7 @@ pub fn x3(scale: Scale) -> Vec<Table> {
     t.note("classic even redistribution (O(log² n) am.). All schemes built by registry spec.");
     for &n in sizes {
         let ops = ops_for(n);
+        let script = generate_edits(UNIFORM, n, ops, 42);
         // (registry spec, (f, s) for the model bound where applicable)
         let mut entries: Vec<(&str, Option<(f64, f64)>)> = vec![
             ("ltree(4,2)", Some((4.0, 2.0))),
@@ -189,7 +198,7 @@ pub fn x3(scale: Scale) -> Vec<Table> {
         }
         for (spec, model) in entries {
             let mut s = scheme(spec);
-            let r = run_workload(&mut s, Workload::Uniform, n, ops, 42).expect("workload runs");
+            let r = script.replay_incremental(&mut s).expect("workload runs");
             let bound = model
                 .map(|(pf, ps)| f(cost_model::amortized_cost(pf, ps, (n + ops) as f64)))
                 .unwrap_or_else(|| "—".into());
@@ -229,10 +238,11 @@ pub fn x4(scale: Scale) -> Vec<Table> {
     t.note("measured = bits of the label space (f+1)^H after bulk load + 10% uniform");
     t.note("inserts; model = log2(f+1)·log2(n)/log2(f/s) (paper §3.1).");
     for &n in sizes {
+        let ops = (n / 10).max(1);
+        let script = generate_edits(UNIFORM, n, ops, 7);
         for (fan, s) in [(4u32, 2u32), (8, 2), (16, 4), (32, 4)] {
             let mut sc = scheme(&format!("ltree({fan},{s})"));
-            let ops = (n / 10).max(1);
-            let r = run_workload(&mut sc, Workload::Uniform, n, ops, 7).expect("workload runs");
+            let r = script.replay_incremental(&mut sc).expect("workload runs");
             let model = cost_model::label_bits(fan as f64, s as f64, (n + ops) as f64);
             t.row(vec![
                 n.to_string(),
@@ -262,13 +272,14 @@ pub fn x5(scale: Scale) -> Vec<Table> {
         ),
         &["s \\ a", "2", "3", "4", "6", "8"],
     );
+    let script = generate_edits(UNIFORM, n, ops, 11);
     let mut best = (f64::INFINITY, (0u32, 0u32));
     for &s in &widths {
         let mut row = vec![s.to_string()];
         for &a in &arities {
             let fan = a * s;
             let mut sc = scheme(&format!("ltree({fan},{s})"));
-            let r = run_workload(&mut sc, Workload::Uniform, n, ops, 11).expect("workload runs");
+            let r = script.replay_incremental(&mut sc).expect("workload runs");
             let c = r.amortized_cost();
             if c < best.0 {
                 best = (c, (fan, s));
@@ -327,6 +338,7 @@ pub fn x6(scale: Scale) -> Vec<Table> {
     t.note("optimum if feasible, otherwise the boundary optimum (Lagrange condition).");
     let reg = ltree::default_registry();
     let ops = (n / 10) as usize;
+    let script = generate_edits(UNIFORM, n as usize, ops, 13);
     for beta in [32u32, 40, 48, 64, 96] {
         match tuning::optimize_cost_with_bits(n + ops as u64, beta) {
             Ok(tuned) => {
@@ -335,8 +347,7 @@ pub fn x6(scale: Scale) -> Vec<Table> {
                 let mut sc = reg
                     .build_with("ltree", &cfg)
                     .expect("tuned params are valid");
-                let r = run_workload(&mut sc, Workload::Uniform, n as usize, ops, 13)
-                    .expect("workload runs");
+                let r = script.replay_incremental(&mut sc).expect("workload runs");
                 t.row(vec![
                     beta.to_string(),
                     format!("({},{})", tuned.params.f(), tuned.params.s()),
@@ -435,7 +446,8 @@ pub fn x8(scale: Scale) -> Vec<Table> {
     let mut base_cost = None;
     for k in [1usize, 4, 16, 64, 256, 1024] {
         let mut sc = scheme("ltree(4,2)");
-        let r = run_workload(&mut sc, Workload::Batches { batch: k }, n, total, 17)
+        let r = generate_edits(EditProfile::BulkLoad { run: k }, n, total, 17)
+            .replay(&mut sc)
             .expect("workload runs");
         let cost = r.amortized_cost();
         if base_cost.is_none() {
@@ -478,24 +490,33 @@ pub fn x9(scale: Scale) -> Vec<Table> {
     t.note("streaming both label sequences off the schemes' cursors.");
     for &n in sizes {
         let ops = (n / 2).max(1_000);
-        let mut m = scheme("ltree(4,2)");
-        let rm = run_workload(&mut m, Workload::Uniform, n, ops, 23).expect("workload runs");
-        let mut v = scheme("virtual(4,2)");
-        let rv = run_workload(&mut v, Workload::Uniform, n, ops, 23).expect("workload runs");
+        let script = generate_edits(UNIFORM, n, ops, 23);
+        // Traced, so each insert is timed inside the scheme; the tracer is
+        // unwrapped before the memory column so its histograms stay out.
+        let run = |spec: &str| {
+            let mut traced = TracedScheme::new(scheme(spec));
+            let r = script
+                .replay_incremental(&mut traced)
+                .expect("workload runs");
+            let scheme_ns = mutation_histogram(&traced.metrics()).sum;
+            (r, scheme_ns, traced.into_inner())
+        };
+        let (rm, m_ns, m) = run("ltree(4,2)");
+        let (rv, v_ns, v) = run("virtual(4,2)");
         // Equivalence: identical label sequences after identical streams.
         assert_eq!(
             labels_in_order(&*m),
             labels_in_order(&*v),
             "virtual/materialized labels diverged"
         );
-        for (variant, r, mem) in [
-            ("materialized", &rm, m.memory_bytes()),
-            ("virtual", &rv, v.memory_bytes()),
+        for (variant, r, scheme_ns, mem) in [
+            ("materialized", &rm, m_ns, m.memory_bytes()),
+            ("virtual", &rv, v_ns, v.memory_bytes()),
         ] {
             t.row(vec![
                 n.to_string(),
                 variant.into(),
-                f(r.scheme_wall.as_nanos() as f64 / r.inserted.max(1) as f64),
+                f(scheme_ns as f64 / r.inserted.max(1) as f64),
                 f(r.amortized_label_writes()),
                 f(r.stats.node_touches as f64 / r.inserted.max(1) as f64),
                 (mem / 1024).to_string(),
@@ -528,19 +549,23 @@ pub fn x10(scale: Scale) -> Vec<Table> {
     t.note("creating more slack between labels' where insertions are heavy; the fixed-gap");
     t.note("scheme instead degenerates to global relabels under a hotspot (every one of");
     t.note("its relabel events rewrites the whole list).");
-    for workload in [
-        Workload::Uniform,
-        Workload::Hotspot {
-            hot_fraction: 0.05,
-            hot_weight: 0.9,
-        },
-        Workload::Append,
+    for (workload, profile) in [
+        ("uniform", UNIFORM),
+        (
+            "hotspot",
+            EditProfile::SkewedPoint {
+                hot_fraction: 0.05,
+                hot_weight: 0.9,
+            },
+        ),
+        ("append", EditProfile::AppendHeavy { run: 1 }),
     ] {
+        let script = generate_edits(profile, n, ops, 29);
         for spec in ["ltree(4,2)", "gap"] {
             let mut sc = scheme(spec);
-            let r = run_workload(&mut sc, workload, n, ops, 29).expect("workload runs");
+            let r = script.replay_incremental(&mut sc).expect("workload runs");
             t.row(vec![
-                workload.name().into(),
+                workload.into(),
                 spec.into(),
                 f(r.amortized_label_writes()),
                 f(r.amortized_cost()),
@@ -573,21 +598,23 @@ pub fn x11(scale: Scale) -> Vec<Table> {
     t.note("Proposition 2: fanout and leaf-count bounds (checked by the full invariant");
     t.note("walker). Proposition 3: 'cascade splitting … is not possible' — the cascade");
     t.note("counter must stay 0 for every single-insert workload.");
+    let hotspot = EditProfile::SkewedPoint {
+        hot_fraction: 0.02,
+        hot_weight: 0.95,
+    };
+    let scripts = [
+        ("uniform", generate_edits(UNIFORM, n, ops, 31)),
+        ("hotspot", generate_edits(hotspot, n, ops, 31)),
+    ];
     for params in Params::presets() {
-        for workload in [
-            Workload::Uniform,
-            Workload::Hotspot {
-                hot_fraction: 0.02,
-                hot_weight: 0.95,
-            },
-        ] {
+        for (workload, script) in &scripts {
             let mut tree = LTree::new(params);
-            run_workload(&mut tree, workload, n, ops, 31).expect("workload runs");
+            script.replay_incremental(&mut tree).expect("workload runs");
             let ok = tree.check_invariants().is_ok();
             let s = tree.stats();
             t.row(vec![
                 params.to_string(),
-                workload.name().into(),
+                (*workload).into(),
                 s.splits.to_string(),
                 s.root_rebuilds.to_string(),
                 s.cascade_splits.to_string(),

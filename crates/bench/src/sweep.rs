@@ -8,10 +8,10 @@
 //! the [`SchemeStats`] counters (the paper's "nodes
 //! accessed for searching or relabeling" currency), label width, memory,
 //! wall time, and — via the `traced(…)` observability wrapper every cell
-//! replays under — per-call p50/p99 latency quantiles (reported and
-//! persisted, never gated: latency is machine-dependent); a cell whose
-//! scheme construction or replay fails carries the error instead of
-//! silently vanishing.
+//! replays under — in-scheme time and per-call p50/p99 latency quantiles
+//! (reported and persisted, never gated: latency is machine-dependent);
+//! a cell whose scheme construction or replay fails carries the error
+//! instead of silently vanishing.
 //!
 //! Results render as the usual markdown table *and* serialize to the
 //! versioned `BENCH_sweep.json` (schema documented in
@@ -27,6 +27,7 @@ use crate::Scale;
 use ltree::gen::docedit::run_document_edits;
 use ltree::gen::{generate_edits, standard_profiles, EditProfile, WorkloadReport};
 use ltree::metrics::{HistogramSnapshot, Metric, MetricValue};
+use ltree::obs::mutation_histogram;
 use ltree::{DynScheme, LTreeError, SchemeStats};
 
 /// Version of the `BENCH_sweep.json` schema. Bump on any breaking field
@@ -248,7 +249,10 @@ pub struct CellMetrics {
     /// Wall-clock of the replay, nanoseconds (driver bookkeeping
     /// included; machine-dependent, excluded from baseline checks).
     pub wall_ns: u64,
-    /// Wall-clock inside scheme calls only, nanoseconds.
+    /// Wall-clock inside scheme calls only, nanoseconds: the summed
+    /// time of the write calls the `traced(…)` wrapper recorded (the
+    /// mutation `obs/op/*` histograms). Machine-dependent and never
+    /// gated, like `wall_ns`.
     pub scheme_wall_ns: u64,
     /// Median per-call latency across all `obs/op/*` histograms of the
     /// `traced(…)` wrapper every cell replays under, nanoseconds.
@@ -261,7 +265,8 @@ pub struct CellMetrics {
 }
 
 impl CellMetrics {
-    fn from_report(r: &WorkloadReport, (p50_ns, p99_ns): (u64, u64)) -> Self {
+    fn from_report(r: &WorkloadReport, metrics: &[Metric]) -> Self {
+        let (p50_ns, p99_ns) = latency_quantiles(metrics);
         let SchemeStats {
             label_writes,
             node_touches,
@@ -277,7 +282,7 @@ impl CellMetrics {
             label_space_bits: r.label_space_bits,
             memory_bytes: r.memory_bytes as u64,
             wall_ns: r.wall.as_nanos() as u64,
-            scheme_wall_ns: r.scheme_wall.as_nanos() as u64,
+            scheme_wall_ns: mutation_histogram(metrics).sum,
             p50_ns,
             p99_ns,
         }
@@ -339,8 +344,7 @@ fn observe(scheme: &dyn DynScheme, report: &WorkloadReport) -> Observed {
             _ => None,
         })
         .collect();
-    let latency = latency_quantiles(&metrics);
-    (CellMetrics::from_report(report, latency), shards, counters)
+    (CellMetrics::from_report(report, &metrics), shards, counters)
 }
 
 /// Run the sweep. Per-cell failures are *recorded*, not propagated — a
@@ -428,56 +432,41 @@ impl SweepReport {
             .collect()
     }
 
+    /// The cell that ran `spec` on `cell`'s workload, size and budget.
+    fn twin(&self, cell: &SweepCell, spec: &str) -> Option<&SweepCell> {
+        self.cells.iter().find(|t| {
+            t.spec == spec && t.workload == cell.workload && t.n == cell.n && t.ops == cell.ops
+        })
+    }
+
     /// Round-trip savings of a coalescing cell against its
     /// non-coalescing twin, as a percentage (positive = fewer trips).
     /// `None` when the cell does not coalesce or the twin is missing.
     pub fn coalesce_savings(&self, cell: &SweepCell) -> Option<f64> {
-        let twin_spec = cell.coalesce_twin_spec()?;
         let rt = cell.round_trips()?;
-        let twin = self.cells.iter().find(|t| {
-            t.spec == twin_spec && t.workload == cell.workload && t.n == cell.n && t.ops == cell.ops
-        })?;
-        let twin_rt = twin.round_trips()?;
+        let twin_rt = self
+            .twin(cell, &cell.coalesce_twin_spec()?)?
+            .round_trips()?;
         if twin_rt == 0 {
             return None;
         }
         Some((twin_rt as f64 - rt as f64) * 100.0 / twin_rt as f64)
     }
 
-    /// Wall-clock overhead of a `checked(...)` cell against its plain
-    /// inner twin, as a percentage of the twin's in-scheme time
-    /// (positive = auditing costs time). Reported, never gated:
-    /// wall-clock is machine-dependent, and the auditor's O(n) shadow
-    /// audits are expected to dominate the wrapped scheme. `None` when
-    /// the cell is not `checked(...)` or the twin is missing.
-    pub fn checked_overhead(&self, cell: &SweepCell) -> Option<f64> {
-        let twin_spec = cell.checked_twin_spec()?;
+    /// In-scheme wall-clock overhead of a wrapper cell against the twin
+    /// that ran `twin_spec`, its plain inner scheme, as a percentage of
+    /// the twin's in-scheme time (positive = the wrapper costs time):
+    /// the `audit ovh` column for a `checked(...)` cell
+    /// ([`SweepCell::checked_twin_spec`]) and `dur ovh` for a
+    /// `durable(...)` one ([`SweepCell::durable_twin_spec`]). Reported,
+    /// never gated: wall-clock is machine-dependent, the auditor's O(n)
+    /// shadow audits are expected to dominate the wrapped scheme, and the
+    /// durable cell's `sync=never` figure measures encoding + appends +
+    /// checkpoints, not the fsyncs a production `sync=always` store
+    /// would add. `None` when either cell failed or the twin is missing.
+    fn overhead(&self, cell: &SweepCell, twin_spec: &str) -> Option<f64> {
         let m = cell.outcome.as_ref().ok()?;
-        let twin = self.cells.iter().find(|t| {
-            t.spec == twin_spec && t.workload == cell.workload && t.n == cell.n && t.ops == cell.ops
-        })?;
-        let t = twin.outcome.as_ref().ok()?;
-        if t.scheme_wall_ns == 0 {
-            return None;
-        }
-        Some((m.scheme_wall_ns as f64 - t.scheme_wall_ns as f64) * 100.0 / t.scheme_wall_ns as f64)
-    }
-
-    /// Wall-clock overhead of a `durable(...)` cell against its plain
-    /// inner twin, as a percentage of the twin's in-scheme time
-    /// (positive = the WAL costs time). Reported, never gated —
-    /// wall-clock is machine-dependent, and the durable cell's
-    /// `sync=never` figure measures encoding + appends + checkpoints,
-    /// not the fsyncs a production `sync=always` store would add.
-    /// `None` when the cell is not `durable(...)` or the twin is
-    /// missing.
-    pub fn durability_overhead(&self, cell: &SweepCell) -> Option<f64> {
-        let twin_spec = cell.durable_twin_spec()?;
-        let m = cell.outcome.as_ref().ok()?;
-        let twin = self.cells.iter().find(|t| {
-            t.spec == twin_spec && t.workload == cell.workload && t.n == cell.n && t.ops == cell.ops
-        })?;
-        let t = twin.outcome.as_ref().ok()?;
+        let t = self.twin(cell, twin_spec)?.outcome.as_ref().ok()?;
         if t.scheme_wall_ns == 0 {
             return None;
         }
@@ -528,6 +517,10 @@ impl SweepReport {
         t.note("obs/op/* histograms every cell replays under (machine-dependent, so");
         t.note("reported and persisted to the JSON but never gated, like ms).");
         for c in &self.cells {
+            let overhead = |twin: Option<String>| match twin.and_then(|t| self.overhead(c, &t)) {
+                None => "—".into(),
+                Some(pct) => format!("{pct:+.0}%"),
+            };
             match &c.outcome {
                 Ok(m) => t.row(vec![
                     c.n.to_string(),
@@ -553,14 +546,8 @@ impl SweepReport {
                         None => "—".into(),
                         Some(pct) => format!("{pct:.0}%"),
                     },
-                    match self.checked_overhead(c) {
-                        None => "—".into(),
-                        Some(pct) => format!("{pct:+.0}%"),
-                    },
-                    match self.durability_overhead(c) {
-                        None => "—".into(),
-                        Some(pct) => format!("{pct:+.0}%"),
-                    },
+                    overhead(c.checked_twin_spec()),
+                    overhead(c.durable_twin_spec()),
                 ]),
                 Err(e) => t.row(
                     [c.n.to_string(), c.workload.clone(), c.spec.clone()]
@@ -1040,25 +1027,20 @@ mod tests {
         ];
         let report = run_sweep(&cfg);
         assert!(report.errored().is_empty(), "{:?}", report.errored());
+        let table = report.to_table();
         let mut saw = 0;
-        for c in &report.cells {
+        for (c, row) in report.cells.iter().zip(&table.rows) {
+            let dur_ovh = &row[15];
             let Some(twin_spec) = c.durable_twin_spec() else {
-                assert!(
-                    report.durability_overhead(c).is_none(),
-                    "{}: unexpected dur ovh",
-                    c.spec
-                );
+                assert_eq!(dur_ovh, "—", "{}: unexpected dur ovh", c.spec);
                 continue;
             };
             assert_eq!(twin_spec, "ltree(4,2)", "{}", c.spec);
-            // doc-edit cells record no separable in-scheme wall time
-            // (see `docedit`), so no overhead figure exists there —
-            // exactly like `audit ovh`.
-            if c.workload != "doc-edit" {
-                report
-                    .durability_overhead(c)
-                    .unwrap_or_else(|| panic!("{} × {}: no dur ovh figure", c.spec, c.workload));
-            }
+            assert_ne!(
+                dur_ovh, "—",
+                "{} × {}: no dur ovh figure",
+                c.spec, c.workload
+            );
             assert_eq!(c.segment_count(), 0, "{}: the WAL is not a shard", c.spec);
             assert!(
                 c.counters.iter().any(|(n, _)| n == "wal/appends"),
@@ -1086,14 +1068,23 @@ mod tests {
         assert_eq!(saw, 12, "two durable cells per workload (6 workloads)");
     }
 
-    /// Every completed cell replays under `traced(…)`, so its latency
-    /// quantiles are real measurements: nonzero, ordered, and carried
-    /// through the JSON round trip like every other field.
+    /// Every completed cell replays under `traced(…)`, so its in-scheme
+    /// time and latency quantiles are real measurements: nonzero, within
+    /// the replay's wall time, ordered, and carried through the JSON
+    /// round trip like every other field.
     #[test]
     fn cells_carry_latency_quantiles_from_the_traced_wrapper() {
         let report = run_sweep(&tiny_config());
         for c in &report.cells {
             let m = c.outcome.as_ref().unwrap();
+            assert!(
+                0 < m.scheme_wall_ns && m.scheme_wall_ns <= m.wall_ns,
+                "{} × {}: scheme time {} outside (0, wall {}]",
+                c.spec,
+                c.workload,
+                m.scheme_wall_ns,
+                m.wall_ns
+            );
             assert!(m.p50_ns > 0, "{} × {}: empty p50", c.spec, c.workload);
             assert!(
                 m.p99_ns >= m.p50_ns,

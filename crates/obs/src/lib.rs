@@ -432,21 +432,23 @@ impl Op {
     }
 }
 
-/// Write-side trait calls in a metric snapshot: the summed sample
-/// counts of the eight mutation `obs/op/*` histograms a `traced(…)`
-/// layer records. Every call is one sample, so a batch splice counts
-/// once whatever its size — the number splice-driven bulk paths
-/// minimize.
-pub fn mutation_calls(metrics: &[Metric]) -> u64 {
+/// The write-side trait calls in a metric snapshot, merged into one
+/// histogram: the eight mutation `obs/op/*` histograms a `traced(…)`
+/// layer records. Its `count` is the number of calls — every call is one
+/// sample, so a batch splice counts once whatever its size, the number
+/// splice-driven bulk paths minimize — and its `sum` is the time spent
+/// inside those calls, nanoseconds.
+pub fn mutation_histogram(metrics: &[Metric]) -> HistogramSnapshot {
     let mutations = &OP_NAMES[..=Op::Splice as usize];
-    metrics
-        .iter()
-        .filter(|m| mutations.contains(&m.name.as_str()))
-        .map(|m| match &m.value {
-            MetricValue::Histogram(h) => h.count,
-            _ => 0,
-        })
-        .sum()
+    let mut merged = HistogramSnapshot::new();
+    for m in metrics {
+        if let MetricValue::Histogram(h) = &m.value {
+            if mutations.contains(&m.name.as_str()) {
+                merged.merge(h);
+            }
+        }
+    }
+    merged
 }
 
 /// Default slow-op threshold (`slow_us` option), microseconds.
@@ -465,6 +467,13 @@ pub const DEFAULT_EVENT_CAPACITY: usize = 256;
 pub struct TracedScheme<S> {
     inner: S,
     registry: Arc<MetricsRegistry>,
+    rec: Recorder,
+}
+
+/// The recording half of [`TracedScheme`], a field of its own so a
+/// `&mut self` method can borrow it beside the inner scheme.
+#[derive(Debug)]
+struct Recorder {
     hists: [Arc<Histogram>; 12],
     slow_ops: Arc<Counter>,
     events: EventLog,
@@ -488,11 +497,13 @@ impl<S> TracedScheme<S> {
         TracedScheme {
             inner,
             registry,
-            hists,
-            slow_ops,
-            events: EventLog::new(DEFAULT_EVENT_CAPACITY),
-            slow_ns: slow_us.saturating_mul(1000),
-            origin: Instant::now(),
+            rec: Recorder {
+                hists,
+                slow_ops,
+                events: EventLog::new(DEFAULT_EVENT_CAPACITY),
+                slow_ns: slow_us.saturating_mul(1000),
+                origin: Instant::now(),
+            },
         }
     }
 
@@ -508,54 +519,19 @@ impl<S> TracedScheme<S> {
 
     /// The retained event spans, oldest first.
     pub fn events(&self) -> Vec<Event> {
-        self.events.recent()
+        self.rec.events.recent()
     }
+}
 
-    fn span<R>(&self, op: Op, f: impl FnOnce(&S) -> Result<R>) -> Result<R> {
+impl Recorder {
+    /// Run `f` as one `op` call and record it.
+    fn time<R>(&self, op: Op, f: impl FnOnce() -> Result<R>) -> Result<R> {
         let start = Instant::now();
-        let out = f(&self.inner);
+        let out = f();
         self.finish(op, start, out.is_err());
         out
     }
 
-    fn span_mut<R>(
-        inner: &mut S,
-        this: &TracedSpanCtx<'_>,
-        op: Op,
-        f: impl FnOnce(&mut S) -> Result<R>,
-    ) -> Result<R> {
-        let start = Instant::now();
-        let out = f(inner);
-        this.finish(op, start, out.is_err());
-        out
-    }
-
-    fn finish(&self, op: Op, start: Instant, errored: bool) {
-        self.ctx().finish(op, start, errored)
-    }
-
-    fn ctx(&self) -> TracedSpanCtx<'_> {
-        TracedSpanCtx {
-            hists: &self.hists,
-            slow_ops: &self.slow_ops,
-            events: &self.events,
-            slow_ns: self.slow_ns,
-            origin: self.origin,
-        }
-    }
-}
-
-/// The recording half of [`TracedScheme`], split out so `&mut self`
-/// methods can borrow the inner scheme mutably while recording.
-struct TracedSpanCtx<'a> {
-    hists: &'a [Arc<Histogram>; 12],
-    slow_ops: &'a Arc<Counter>,
-    events: &'a EventLog,
-    slow_ns: u64,
-    origin: Instant,
-}
-
-impl TracedSpanCtx<'_> {
     fn finish(&self, op: Op, start: Instant, errored: bool) {
         let dur_ns = start.elapsed().as_nanos() as u64;
         self.hists[op as usize].record(dur_ns);
@@ -590,7 +566,7 @@ impl<S: OrderedLabeling> OrderedLabeling for TracedScheme<S> {
     }
 
     fn label_of(&self, h: LeafHandle) -> Result<u128> {
-        self.span(Op::LabelOf, |s| s.label_of(h))
+        self.rec.time(Op::LabelOf, || self.inner.label_of(h))
     }
 
     fn len(&self) -> usize {
@@ -608,14 +584,14 @@ impl<S: OrderedLabeling> OrderedLabeling for TracedScheme<S> {
     fn first_in_order(&self) -> Option<LeafHandle> {
         let start = Instant::now();
         let out = self.inner.first_in_order();
-        self.finish(Op::FirstInOrder, start, false);
+        self.rec.finish(Op::FirstInOrder, start, false);
         out
     }
 
     fn next_in_order(&self, h: LeafHandle) -> Option<LeafHandle> {
         let start = Instant::now();
         let out = self.inner.next_in_order(h);
-        self.finish(Op::NextInOrder, start, false);
+        self.rec.finish(Op::NextInOrder, start, false);
         out
     }
 
@@ -627,101 +603,49 @@ impl<S: OrderedLabeling> OrderedLabeling for TracedScheme<S> {
         // The dominant wrapper footprint: 12 histograms of fixed bucket
         // arrays plus the event ring.
         self.inner.memory_bytes()
-            + self.hists.len() * BUCKET_COUNT as usize * std::mem::size_of::<u64>()
+            + self.rec.hists.len() * BUCKET_COUNT as usize * std::mem::size_of::<u64>()
             + DEFAULT_EVENT_CAPACITY * std::mem::size_of::<Event>()
     }
 
     fn compare(&self, a: LeafHandle, b: LeafHandle) -> Result<Ordering> {
-        self.span(Op::Compare, |s| s.compare(a, b))
+        self.rec.time(Op::Compare, || self.inner.compare(a, b))
     }
 }
 
 impl<S: OrderedLabelingMut> OrderedLabelingMut for TracedScheme<S> {
     fn bulk_build(&mut self, n: usize) -> Result<Vec<LeafHandle>> {
-        let ctx = TracedSpanCtx {
-            hists: &self.hists,
-            slow_ops: &self.slow_ops,
-            events: &self.events,
-            slow_ns: self.slow_ns,
-            origin: self.origin,
-        };
-        Self::span_mut(&mut self.inner, &ctx, Op::BulkBuild, |s| s.bulk_build(n))
+        self.rec.time(Op::BulkBuild, || self.inner.bulk_build(n))
     }
 
     fn insert_first(&mut self) -> Result<LeafHandle> {
-        let ctx = TracedSpanCtx {
-            hists: &self.hists,
-            slow_ops: &self.slow_ops,
-            events: &self.events,
-            slow_ns: self.slow_ns,
-            origin: self.origin,
-        };
-        Self::span_mut(&mut self.inner, &ctx, Op::InsertFirst, |s| s.insert_first())
+        self.rec.time(Op::InsertFirst, || self.inner.insert_first())
     }
 
     fn insert_after(&mut self, anchor: LeafHandle) -> Result<LeafHandle> {
-        let ctx = TracedSpanCtx {
-            hists: &self.hists,
-            slow_ops: &self.slow_ops,
-            events: &self.events,
-            slow_ns: self.slow_ns,
-            origin: self.origin,
-        };
-        Self::span_mut(&mut self.inner, &ctx, Op::InsertAfter, |s| {
-            s.insert_after(anchor)
-        })
+        self.rec
+            .time(Op::InsertAfter, || self.inner.insert_after(anchor))
     }
 
     fn insert_before(&mut self, anchor: LeafHandle) -> Result<LeafHandle> {
-        let ctx = TracedSpanCtx {
-            hists: &self.hists,
-            slow_ops: &self.slow_ops,
-            events: &self.events,
-            slow_ns: self.slow_ns,
-            origin: self.origin,
-        };
-        Self::span_mut(&mut self.inner, &ctx, Op::InsertBefore, |s| {
-            s.insert_before(anchor)
-        })
+        self.rec
+            .time(Op::InsertBefore, || self.inner.insert_before(anchor))
     }
 
     fn delete(&mut self, h: LeafHandle) -> Result<()> {
-        let ctx = TracedSpanCtx {
-            hists: &self.hists,
-            slow_ops: &self.slow_ops,
-            events: &self.events,
-            slow_ns: self.slow_ns,
-            origin: self.origin,
-        };
-        Self::span_mut(&mut self.inner, &ctx, Op::Delete, |s| s.delete(h))
+        self.rec.time(Op::Delete, || self.inner.delete(h))
     }
 }
 
 impl<S: BatchLabeling> BatchLabeling for TracedScheme<S> {
     fn insert_many_after(&mut self, anchor: LeafHandle, k: usize) -> Result<Vec<LeafHandle>> {
-        let ctx = TracedSpanCtx {
-            hists: &self.hists,
-            slow_ops: &self.slow_ops,
-            events: &self.events,
-            slow_ns: self.slow_ns,
-            origin: self.origin,
-        };
-        Self::span_mut(&mut self.inner, &ctx, Op::InsertManyAfter, |s| {
-            s.insert_many_after(anchor, k)
+        self.rec.time(Op::InsertManyAfter, || {
+            self.inner.insert_many_after(anchor, k)
         })
     }
 
     fn delete_run(&mut self, first: LeafHandle, count: usize) -> Result<usize> {
-        let ctx = TracedSpanCtx {
-            hists: &self.hists,
-            slow_ops: &self.slow_ops,
-            events: &self.events,
-            slow_ns: self.slow_ns,
-            origin: self.origin,
-        };
-        Self::span_mut(&mut self.inner, &ctx, Op::DeleteRun, |s| {
-            s.delete_run(first, count)
-        })
+        self.rec
+            .time(Op::DeleteRun, || self.inner.delete_run(first, count))
     }
 
     fn splice(&mut self, op: Splice) -> Result<SpliceResult> {
@@ -729,14 +653,7 @@ impl<S: BatchLabeling> BatchLabeling for TracedScheme<S> {
         // native fast-path) rather than re-dispatching through the
         // default body — and record it under its own kind so batch
         // latency is separable from single-op latency.
-        let ctx = TracedSpanCtx {
-            hists: &self.hists,
-            slow_ops: &self.slow_ops,
-            events: &self.events,
-            slow_ns: self.slow_ns,
-            origin: self.origin,
-        };
-        Self::span_mut(&mut self.inner, &ctx, Op::Splice, |s| s.splice(op))
+        self.rec.time(Op::Splice, || self.inner.splice(op))
     }
 }
 
@@ -750,7 +667,7 @@ impl<S: Instrumented> Instrumented for TracedScheme<S> {
         // Histograms and spans reset with the counters, so post-reset
         // quantiles describe the same window as the post-reset stats.
         self.registry.reset();
-        self.events.clear();
+        self.rec.events.clear();
     }
 
     fn stats_breakdown(&self) -> Vec<(String, SchemeStats)> {

@@ -799,7 +799,7 @@ mod tests {
 
     #[test]
     fn insert_fragments_labels_the_run_with_one_splice() {
-        use ltree_obs::{mutation_calls, TracedScheme};
+        use ltree_obs::{mutation_histogram, TracedScheme};
         let mut d = Document::parse_str(
             FIG1,
             TracedScheme::new(LTree::new(Params::new(4, 2).unwrap())),
@@ -809,10 +809,10 @@ mod tests {
         let (mut f1, r1) = XmlTree::with_root("appendix");
         f1.add_child(r1, "section").unwrap();
         let (f2, _) = XmlTree::with_root("index");
-        let calls_before = mutation_calls(&d.scheme().metrics());
+        let calls_before = mutation_histogram(&d.scheme().metrics()).count;
         let ids = d.insert_fragments(root, 2, &[f1, f2]).unwrap();
         assert_eq!(
-            mutation_calls(&d.scheme().metrics()) - calls_before,
+            mutation_histogram(&d.scheme().metrics()).count - calls_before,
             1,
             "the whole sibling run is one splice"
         );
@@ -844,7 +844,7 @@ mod tests {
 
     #[test]
     fn subtree_removal_is_one_delete_run() {
-        use ltree_obs::{mutation_calls, TracedScheme};
+        use ltree_obs::{mutation_histogram, TracedScheme};
         let mut d = Document::parse_str(
             "<r><a><b/><c><d/></c></a><e/></r>",
             TracedScheme::new(LTree::new(Params::new(4, 2).unwrap())),
@@ -852,11 +852,11 @@ mod tests {
         .unwrap();
         let root = d.tree().root().unwrap();
         let a = d.tree().child_elements(root).unwrap()[0];
-        let calls_before = mutation_calls(&d.scheme().metrics());
+        let calls_before = mutation_histogram(&d.scheme().metrics()).count;
         let removed = d.delete_subtree(a).unwrap();
         assert_eq!(removed, 4);
         assert_eq!(
-            mutation_calls(&d.scheme().metrics()) - calls_before,
+            mutation_histogram(&d.scheme().metrics()).count - calls_before,
             1,
             "subtree removal is one delete-run splice"
         );

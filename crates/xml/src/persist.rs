@@ -8,7 +8,10 @@
 //! re-parsed document would get *bulk-load* labels instead and lose the
 //! update history's hotspot adaptation — the snapshot keeps it.
 //!
-//! Format: `"LXDC" | version u16 | xml_len u64 | xml bytes | snapshot`.
+//! Format: `"LXDC" | version u16 | xml_len u64 | xml bytes | snapshot |
+//! checksum u64`, the checksum being FNV-1a ([`snapshot::fnv1a`]) of
+//! everything before it — the trailer the nested snapshot carries too,
+//! here over the XML text as well.
 
 use ltree_core::snapshot::{self, SnapshotError};
 use ltree_core::{LTree, LeafHandle};
@@ -17,18 +20,24 @@ use crate::document::Document;
 use crate::error::{Result, XmlError};
 
 const MAGIC: &[u8; 4] = b"LXDC";
-const VERSION: u16 = 1;
+const VERSION: u16 = 2;
+/// Magic, version and XML length.
+const HEADER_LEN: usize = 4 + 2 + 8;
+/// The checksum trailer.
+const CHECKSUM_LEN: usize = 8;
 
 /// Serialize a document (XML text + labeling-structure snapshot).
 pub fn save_document(doc: &Document<LTree>) -> Result<Vec<u8>> {
     let xml = crate::serializer::to_string(doc.tree())?;
     let snap = snapshot::save(doc.scheme());
-    let mut out = Vec::with_capacity(4 + 2 + 8 + xml.len() + snap.len());
+    let mut out = Vec::with_capacity(HEADER_LEN + xml.len() + snap.len() + CHECKSUM_LEN);
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&(xml.len() as u64).to_le_bytes());
     out.extend_from_slice(xml.as_bytes());
     out.extend_from_slice(&snap);
+    let checksum = snapshot::fnv1a(&out);
+    out.extend_from_slice(&checksum.to_le_bytes());
     Ok(out)
 }
 
@@ -43,15 +52,19 @@ fn corrupt(msg: impl Into<String>) -> XmlError {
 /// Restore a document saved with [`save_document`]. Every element gets
 /// back the exact `(begin, end)` labels it had, tombstone slack included.
 pub fn load_document(bytes: &[u8]) -> Result<Document<LTree>> {
-    if bytes.len() < 14 || &bytes[..4] != MAGIC {
+    if bytes.len() < HEADER_LEN + CHECKSUM_LEN || &bytes[..4] != MAGIC {
         return Err(corrupt("not a persisted document (bad magic)"));
     }
     let version = u16::from_le_bytes(bytes[4..6].try_into().expect("2 bytes"));
     if version != VERSION {
         return Err(corrupt(format!("unsupported document version {version}")));
     }
-    let xml_len = u64::from_le_bytes(bytes[6..14].try_into().expect("8 bytes")) as usize;
-    let rest = &bytes[14..];
+    let (body, tail) = bytes.split_at(bytes.len() - CHECKSUM_LEN);
+    if snapshot::fnv1a(body) != u64::from_le_bytes(tail.try_into().expect("8 bytes")) {
+        return Err(corrupt("document checksum mismatch"));
+    }
+    let xml_len = u64::from_le_bytes(body[6..HEADER_LEN].try_into().expect("8 bytes")) as usize;
+    let rest = &body[HEADER_LEN..];
     if rest.len() < xml_len {
         return Err(corrupt("truncated document payload"));
     }
@@ -166,8 +179,22 @@ mod tests {
         bad[0] = b'X';
         assert!(load_document(&bad).is_err());
         let mut flipped = good.clone();
-        let at = flipped.len() - 3; // inside the snapshot -> checksum
+        let at = flipped.len() - 11; // inside the snapshot -> checksum
         flipped[at] ^= 0x55;
         assert!(load_document(&flipped).is_err());
+        // `t1` -> `t9` in the XML text still parses: only the image
+        // checksum catches it.
+        let mut retitled = good.clone();
+        let at = HEADER_LEN
+            + good[HEADER_LEN..]
+                .windows(2)
+                .position(|w| w == b"t1")
+                .unwrap();
+        retitled[at + 1] = b'9';
+        assert!(load_document(&retitled).is_err());
+        // Version 1 images carry no trailer and are rejected.
+        let mut v1 = good.clone();
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
+        assert!(load_document(&v1).is_err());
     }
 }

@@ -1,7 +1,7 @@
 //! Document-shaped update workloads: seeded edits against a real
 //! [`Document<S>`](xmldb::Document).
 //!
-//! The leaf-stream workloads ([`crate::workload`]) drive a scheme
+//! The leaf-stream edit scripts ([`crate::workload`]) drive a scheme
 //! directly; this module drives it the way the XML layer does — through
 //! [`Document::insert_fragments`] (one splice per sibling run) and
 //! [`Document::delete_subtree`] (one delete-run splice per removal) —
@@ -15,7 +15,7 @@
 
 use ltree_core::rng::SplitMix64;
 use ltree_core::LabelingScheme;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use xmldb::{Document, XmlNodeId, XmlTree};
 
 use crate::gen::{book_catalog_profile, generate};
@@ -49,8 +49,8 @@ fn make_fragment(rng: &mut SplitMix64, k: usize) -> XmlTree {
 /// `ops_items` scheme items (2 per element) have been inserted.
 ///
 /// Stats cover the edit session only — the initial load is reset away,
-/// as in [`crate::workload::run_workload`]. Returns the report and the
-/// scheme (recovered from the document) so callers can read its
+/// as in [`crate::workload::EditScript::replay`]. Returns the report
+/// and the scheme (recovered from the document) so callers can read its
 /// [`ltree_core::Instrumented::stats_breakdown`] and
 /// [`ltree_core::Instrumented::metrics`].
 ///
@@ -126,9 +126,6 @@ pub fn run_document_edits<S: LabelingScheme>(
         label_space_bits: doc.scheme().label_space_bits(),
         memory_bytes: doc.scheme().memory_bytes(),
         wall,
-        // Scheme time is not separable from DOM bookkeeping on this
-        // path; the sweep's wall column carries the total.
-        scheme_wall: Duration::ZERO,
     };
     Ok((report, doc.into_scheme()))
 }

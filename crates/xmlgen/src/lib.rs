@@ -6,14 +6,14 @@
 //! * [`gen`] — random XML documents with layered tag vocabularies,
 //!   including an XMark-flavoured *auction site* profile and a *book
 //!   catalog* profile matching the paper's motivating examples;
-//! * [`workload`] — update streams against any
-//!   [`ltree_core::LabelingScheme`]: uniform, hotspot, append/prepend,
-//!   batch (subtree-shaped) and mixed insert/delete, with a
-//!   [`workload::WorkloadReport`] capturing the paper's cost metrics;
-//!   plus replayable [`workload::EditScript`]s — generated once per
-//!   (profile, seed), replayed against every scheme as batched splices
-//!   (one [`ltree_core::Splice`] per run) or as the per-item reference
-//!   loop, which is what the `ltree-bench` scheme×workload sweep drives;
+//! * [`workload`] — the one update-workload driver: replayable
+//!   [`workload::EditScript`]s, generated once per
+//!   ([`workload::EditProfile`], seed) and replayed against any
+//!   [`ltree_core::LabelingScheme`] as batched splices (one
+//!   [`ltree_core::Splice`] per run) or as the per-item reference loop,
+//!   with a [`workload::WorkloadReport`] capturing the paper's cost
+//!   metrics. The `ltree-bench` experiments and its scheme×workload
+//!   sweep both drive it;
 //! * [`docedit`] — document-shaped sessions: seeded fragment
 //!   insertions and subtree removals applied through a real
 //!   [`xmldb::Document`] (its splice paths), so the sweep also measures
@@ -28,6 +28,5 @@ pub mod workload;
 
 pub use gen::{auction_profile, book_catalog_profile, generate, uniform_profile, DocProfile};
 pub use workload::{
-    generate_edits, run_workload, standard_profiles, verify_order, Edit, EditProfile, EditScript,
-    Workload, WorkloadReport,
+    generate_edits, standard_profiles, Edit, EditProfile, EditScript, WorkloadReport,
 };

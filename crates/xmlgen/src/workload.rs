@@ -1,57 +1,18 @@
-//! Update-workload drivers over any [`LabelingScheme`].
+//! The update-workload driver over any [`LabelingScheme`]: seeded,
+//! replayable [`EditScript`]s.
 //!
-//! The experiment runners in `ltree-bench` drive these streams against every
-//! scheme and read the [`WorkloadReport`]: amortized label writes /
-//! node touches (the paper's cost unit), label width, memory and wall
-//! time. All streams are seeded and reproducible.
+//! [`generate_edits`] turns an [`EditProfile`] into a script once per
+//! (profile, seed); every scheme then replays the same script, as one
+//! [`Splice`] per edit ([`EditScript::replay`]) or as single-item calls
+//! ([`EditScript::replay_incremental`]). The experiment runners and the
+//! sweep in `ltree-bench` read the [`WorkloadReport`]: amortized label
+//! writes / node touches (the paper's cost unit), label width, memory
+//! and wall time. Time inside the scheme's own calls is measured by the
+//! `traced(…)` wrapper, not here.
 
 use ltree_core::rng::SplitMix64;
 use ltree_core::{LabelingScheme, LeafHandle, Result, SchemeStats, Splice};
 use std::time::{Duration, Instant};
-
-/// The update stream shapes used by the experiments.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Workload {
-    /// Insert after a uniformly random live item.
-    Uniform,
-    /// `hot_weight` of the inserts land in the first `hot_fraction` of
-    /// the document (the paper's "uneven insertion rates", §6).
-    Hotspot {
-        /// Fraction of the document that is hot (e.g. 0.1).
-        hot_fraction: f64,
-        /// Probability an insert targets the hot region (e.g. 0.9).
-        hot_weight: f64,
-    },
-    /// Always insert after the last item (document append).
-    Append,
-    /// Always insert before the first item.
-    Prepend,
-    /// Batched subtree-style insertion at uniformly random anchors
-    /// (paper, §4.1). `ops` counts leaves, so `ops / batch` batches run.
-    Batches {
-        /// Leaves per batch.
-        batch: usize,
-    },
-    /// Uniform inserts mixed with deletions of random live items.
-    MixedDeletes {
-        /// Fraction of operations that are deletions (0..1).
-        delete_ratio: f64,
-    },
-}
-
-impl Workload {
-    /// Short name for tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Workload::Uniform => "uniform",
-            Workload::Hotspot { .. } => "hotspot",
-            Workload::Append => "append",
-            Workload::Prepend => "prepend",
-            Workload::Batches { .. } => "batches",
-            Workload::MixedDeletes { .. } => "mixed-deletes",
-        }
-    }
-}
 
 /// Everything the experiment tables need from one run.
 #[derive(Debug, Clone)]
@@ -74,8 +35,6 @@ pub struct WorkloadReport {
     pub memory_bytes: usize,
     /// Wall-clock time of the stream (driver bookkeeping included).
     pub wall: Duration,
-    /// Wall-clock time spent inside the scheme's own calls only.
-    pub scheme_wall: Duration,
 }
 
 impl WorkloadReport {
@@ -90,13 +49,10 @@ impl WorkloadReport {
     }
 }
 
-/// Check that live labels strictly increase along the driver's order.
-pub fn verify_order<S: LabelingScheme>(scheme: &S, order: &[(LeafHandle, bool)]) -> Result<bool> {
+/// Check that labels strictly increase along `live`, the driver's order.
+fn verify_order<S: LabelingScheme>(scheme: &S, live: &[LeafHandle]) -> Result<bool> {
     let mut prev: Option<u128> = None;
-    for &(h, alive) in order {
-        if !alive {
-            continue;
-        }
+    for &h in live {
         let l = scheme.label_of(h)?;
         if let Some(p) = prev {
             if p >= l {
@@ -107,124 +63,6 @@ pub fn verify_order<S: LabelingScheme>(scheme: &S, order: &[(LeafHandle, bool)])
     }
     Ok(true)
 }
-
-/// Drive `ops` leaf insertions (and deletions, for mixed streams) against
-/// `scheme`, starting from a fresh bulk build of `initial` items.
-///
-/// The scheme's stats are reset after the bulk build so the report covers
-/// the stream only (bulk loading is not an update in the paper's model).
-pub fn run_workload<S: LabelingScheme>(
-    scheme: &mut S,
-    workload: Workload,
-    initial: usize,
-    ops: usize,
-    seed: u64,
-) -> Result<WorkloadReport> {
-    let mut rng = SplitMix64::new(seed);
-    let built = scheme.bulk_build(initial.max(1))?;
-    // (handle, alive) in document order.
-    let mut order: Vec<(LeafHandle, bool)> = built.into_iter().map(|h| (h, true)).collect();
-    scheme.reset_scheme_stats();
-
-    let start = Instant::now();
-    let mut scheme_wall = Duration::ZERO;
-    let mut inserted = 0u64;
-    let mut deleted = 0u64;
-    macro_rules! timed {
-        ($e:expr) => {{
-            let t0 = Instant::now();
-            let out = $e;
-            scheme_wall += t0.elapsed();
-            out
-        }};
-    }
-    while inserted < ops as u64 {
-        match workload {
-            Workload::Uniform => {
-                let i = rng.gen_range(0..order.len());
-                let h = timed!(scheme.insert_after(order[i].0))?;
-                order.insert(i + 1, (h, true));
-                inserted += 1;
-            }
-            Workload::Hotspot {
-                hot_fraction,
-                hot_weight,
-            } => {
-                let hot_len =
-                    ((order.len() as f64 * hot_fraction).ceil() as usize).clamp(1, order.len());
-                let i = if rng.gen_bool(hot_weight.clamp(0.0, 1.0)) {
-                    rng.gen_range(0..hot_len)
-                } else {
-                    rng.gen_range(0..order.len())
-                };
-                let h = timed!(scheme.insert_after(order[i].0))?;
-                order.insert(i + 1, (h, true));
-                inserted += 1;
-            }
-            Workload::Append => {
-                let i = order.len() - 1;
-                let h = timed!(scheme.insert_after(order[i].0))?;
-                order.push((h, true));
-                inserted += 1;
-            }
-            Workload::Prepend => {
-                let h = timed!(scheme.insert_before(order[0].0))?;
-                order.insert(0, (h, true));
-                inserted += 1;
-            }
-            Workload::Batches { batch } => {
-                let k = batch.max(1).min(ops - inserted as usize).max(1);
-                let i = rng.gen_range(0..order.len());
-                let hs = timed!(scheme.insert_many_after(order[i].0, k))?;
-                for (j, h) in hs.into_iter().enumerate() {
-                    order.insert(i + 1 + j, (h, true));
-                }
-                inserted += k as u64;
-            }
-            Workload::MixedDeletes { delete_ratio } => {
-                if rng.gen_bool(delete_ratio.clamp(0.0, 0.99)) && order.iter().any(|&(_, a)| a) {
-                    // Delete a random live item.
-                    loop {
-                        let i = rng.gen_range(0..order.len());
-                        if order[i].1 {
-                            timed!(scheme.delete(order[i].0))?;
-                            order[i].1 = false;
-                            deleted += 1;
-                            break;
-                        }
-                    }
-                } else {
-                    let i = rng.gen_range(0..order.len());
-                    let h = timed!(scheme.insert_after(order[i].0))?;
-                    order.insert(i + 1, (h, true));
-                    inserted += 1;
-                }
-            }
-        }
-    }
-    let wall = start.elapsed();
-    debug_assert!(
-        verify_order(scheme, &order)?,
-        "scheme broke the order contract"
-    );
-
-    Ok(WorkloadReport {
-        scheme: scheme.name(),
-        workload: workload.name(),
-        initial,
-        inserted,
-        deleted,
-        stats: scheme.scheme_stats(),
-        label_space_bits: scheme.label_space_bits(),
-        memory_bytes: scheme.memory_bytes(),
-        wall,
-        scheme_wall,
-    })
-}
-
-// ----------------------------------------------------------------------
-// Edit scripts: generated once, replayed as batched splices
-// ----------------------------------------------------------------------
 
 /// One logical edit of a generated update script, phrased in *runs* so
 /// the replayer can apply it as a single [`ltree_core::Splice`]. `at` is
@@ -254,17 +92,21 @@ pub enum Edit {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum EditProfile {
     /// Few large insert runs at random anchors — bulk document loading.
+    /// With `run: 1`, replayed incrementally, it is the uniform
+    /// single-insert stream the X3–X11 experiments use.
     BulkLoad {
         /// Items per run.
         run: usize,
     },
-    /// Insert runs at the document tail — log/feed-style growth.
+    /// Insert runs at the document tail — log/feed-style growth. With
+    /// `run: 1` it is the append stream the X3–X11 experiments use.
     AppendHeavy {
         /// Items per run.
         run: usize,
     },
     /// Single-item inserts hammering a small hot prefix (the paper's
-    /// "uneven insertion rates", §6).
+    /// "uneven insertion rates", §6) — the hotspot stream the X3–X11
+    /// experiments use.
     SkewedPoint {
         /// Fraction of the document that is hot.
         hot_fraction: f64,
@@ -419,8 +261,9 @@ pub fn generate_edits(profile: EditProfile, initial: usize, ops: usize, seed: u6
 
 impl EditScript {
     /// Replay against `scheme` with **one splice per edit** — the
-    /// batched path the sweep measures. Stats cover the edits only (the
-    /// initial bulk build is reset away, as in [`run_workload`]).
+    /// batched path the sweep measures. Stats cover the edits only: the
+    /// initial bulk build is reset away, since bulk loading is not an
+    /// update in the paper's model.
     pub fn replay<S: LabelingScheme>(&self, scheme: &mut S) -> Result<WorkloadReport> {
         self.replay_inner(scheme, true)
     }
@@ -439,7 +282,6 @@ impl EditScript {
         let mut live: Vec<LeafHandle> = scheme.bulk_build(self.initial)?;
         scheme.reset_scheme_stats();
         let start = Instant::now();
-        let mut scheme_wall = Duration::ZERO;
         let mut inserted = 0u64;
         let mut deleted = 0u64;
         for &edit in &self.edits {
@@ -448,17 +290,14 @@ impl EditScript {
                     let at = at.min(live.len() - 1);
                     let anchor = live[at];
                     let hs = if batched {
-                        let t0 = Instant::now();
-                        let out = scheme.splice(Splice::InsertAfter { anchor, count })?;
-                        scheme_wall += t0.elapsed();
-                        out.into_inserted()
+                        scheme
+                            .splice(Splice::InsertAfter { anchor, count })?
+                            .into_inserted()
                     } else {
                         let mut out = Vec::with_capacity(count);
                         let mut cur = anchor;
                         for _ in 0..count {
-                            let t0 = Instant::now();
                             cur = scheme.insert_after(cur)?;
-                            scheme_wall += t0.elapsed();
                             out.push(cur);
                         }
                         out
@@ -473,18 +312,15 @@ impl EditScript {
                         continue;
                     }
                     let n = if batched {
-                        let t0 = Instant::now();
-                        let out = scheme.splice(Splice::DeleteRun {
-                            first: live[at],
-                            count,
-                        })?;
-                        scheme_wall += t0.elapsed();
-                        out.deleted()
+                        scheme
+                            .splice(Splice::DeleteRun {
+                                first: live[at],
+                                count,
+                            })?
+                            .deleted()
                     } else {
                         for j in 0..count {
-                            let t0 = Instant::now();
                             scheme.delete(live[at + j])?;
-                            scheme_wall += t0.elapsed();
                         }
                         count
                     };
@@ -495,9 +331,8 @@ impl EditScript {
             }
         }
         let wall = start.elapsed();
-        let order: Vec<(LeafHandle, bool)> = live.iter().map(|&h| (h, true)).collect();
         debug_assert!(
-            verify_order(scheme, &order)?,
+            verify_order(scheme, &live)?,
             "scheme broke the order contract"
         );
         Ok(WorkloadReport {
@@ -510,7 +345,6 @@ impl EditScript {
             label_space_bits: scheme.label_space_bits(),
             memory_bytes: scheme.memory_bytes(),
             wall,
-            scheme_wall,
         })
     }
 }
@@ -522,78 +356,6 @@ mod tests {
 
     fn ltree() -> LTree {
         LTree::new(Params::new(4, 2).unwrap())
-    }
-
-    #[test]
-    fn uniform_stream_runs_and_reports() {
-        let mut s = ltree();
-        let r = run_workload(&mut s, Workload::Uniform, 100, 500, 1).unwrap();
-        assert_eq!(r.inserted, 500);
-        assert_eq!(r.scheme, "ltree");
-        assert!(r.amortized_label_writes() > 0.0);
-        assert!(r.label_space_bits > 0);
-        s.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn hotspot_stream_is_heavier_than_uniform_for_gap() {
-        use labeling_baselines::GapLabeling;
-        let mut g1 = GapLabeling::new();
-        let uniform = run_workload(&mut g1, Workload::Uniform, 500, 500, 2).unwrap();
-        let mut g2 = GapLabeling::new();
-        let hot = run_workload(
-            &mut g2,
-            Workload::Hotspot {
-                hot_fraction: 0.02,
-                hot_weight: 0.95,
-            },
-            500,
-            500,
-            2,
-        )
-        .unwrap();
-        assert!(
-            hot.amortized_label_writes() > uniform.amortized_label_writes(),
-            "gap labeling must suffer under hotspots: {} vs {}",
-            hot.amortized_label_writes(),
-            uniform.amortized_label_writes()
-        );
-    }
-
-    #[test]
-    fn append_and_prepend_streams() {
-        for w in [Workload::Append, Workload::Prepend] {
-            let mut s = ltree();
-            let r = run_workload(&mut s, w, 10, 300, 3).unwrap();
-            assert_eq!(r.inserted, 300);
-            s.check_invariants().unwrap();
-        }
-    }
-
-    #[test]
-    fn batches_insert_exactly_ops_leaves() {
-        let mut s = ltree();
-        let r = run_workload(&mut s, Workload::Batches { batch: 7 }, 50, 200, 4).unwrap();
-        assert_eq!(r.inserted, 200);
-        assert_eq!(s.len(), 250);
-        s.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn mixed_deletes_counts_both() {
-        let mut s = ltree();
-        let r = run_workload(
-            &mut s,
-            Workload::MixedDeletes { delete_ratio: 0.3 },
-            100,
-            300,
-            5,
-        )
-        .unwrap();
-        assert_eq!(r.inserted, 300);
-        assert!(r.deleted > 0);
-        assert_eq!(r.stats.deletes, r.deleted);
-        s.check_invariants().unwrap();
     }
 
     #[test]
@@ -665,6 +427,28 @@ mod tests {
     }
 
     #[test]
+    fn hotspot_stream_is_heavier_than_uniform_for_gap() {
+        // A fixed-gap scheme writes more labels under a hot prefix than
+        // under uniform single inserts: the hot gaps run out (paper §6).
+        let gap_writes = |profile| {
+            let script = generate_edits(profile, 500, 500, 2);
+            let mut g = labeling_baselines::GapLabeling::new();
+            script.replay_incremental(&mut g).unwrap()
+        };
+        let uniform = gap_writes(EditProfile::BulkLoad { run: 1 });
+        let hot = gap_writes(EditProfile::SkewedPoint {
+            hot_fraction: 0.02,
+            hot_weight: 0.95,
+        });
+        assert!(
+            hot.amortized_label_writes() > uniform.amortized_label_writes(),
+            "gap labeling must suffer under hotspots: {} vs {}",
+            hot.amortized_label_writes(),
+            uniform.amortized_label_writes()
+        );
+    }
+
+    #[test]
     fn replay_clamps_out_of_range_positions() {
         // EditScript fields are public; hand-built scripts with stale
         // positions must degrade to the nearest live item, not panic.
@@ -690,10 +474,11 @@ mod tests {
 
     #[test]
     fn reports_are_reproducible() {
+        let script = generate_edits(EditProfile::BulkLoad { run: 1 }, 64, 256, 9);
         let mut a = ltree();
-        let ra = run_workload(&mut a, Workload::Uniform, 64, 256, 9).unwrap();
+        let ra = script.replay(&mut a).unwrap();
         let mut b = ltree();
-        let rb = run_workload(&mut b, Workload::Uniform, 64, 256, 9).unwrap();
+        let rb = script.replay(&mut b).unwrap();
         assert_eq!(ra.stats, rb.stats);
         assert_eq!(ra.label_space_bits, rb.label_space_bits);
     }

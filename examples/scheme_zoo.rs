@@ -9,7 +9,7 @@
 //! cargo run --release --example scheme_zoo -- "ltree(16,4)" "gap(1024)"
 //! ```
 
-use ltree::gen::{run_workload, Workload};
+use ltree::gen::{generate_edits, EditProfile};
 use ltree::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -39,13 +39,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("\nHotspot workload: n = {n}, {ops} inserts, 90% into the first 5%:\n");
     println!("  spec            writes/op    cost/op   bits   live items");
-    let workload = Workload::Hotspot {
+    let hotspot = EditProfile::SkewedPoint {
         hot_fraction: 0.05,
         hot_weight: 0.9,
     };
+    let script = generate_edits(hotspot, n, ops, 7);
     for spec in &specs {
         let mut scheme = registry.build(spec)?;
-        let report = run_workload(&mut scheme, workload, n, ops, 7)?;
+        let report = script.replay_incremental(&mut scheme)?;
         println!(
             "  {spec:14} {:>9.2}  {:>9.2}   {:>4}   {:>8}",
             report.amortized_label_writes(),

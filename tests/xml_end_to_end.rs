@@ -121,7 +121,7 @@ fn uniform_pipeline_with_baseline_scheme() {
 
 #[test]
 fn bulk_load_issues_10x_fewer_mut_calls_than_per_node() {
-    use ltree::obs::{mutation_calls, TracedScheme};
+    use ltree::obs::{mutation_histogram, TracedScheme};
     // The acceptance bar for splice-driven bulk loading: on a 10k-node
     // document, the bulk path must issue at least 10× fewer
     // OrderedLabelingMut/BatchLabeling calls than labeling one tag at a
@@ -134,8 +134,8 @@ fn bulk_load_issues_10x_fewer_mut_calls_than_per_node() {
     bulk.validate().unwrap();
     incr.validate().unwrap();
 
-    let b = mutation_calls(&bulk.scheme().metrics());
-    let i = mutation_calls(&incr.scheme().metrics());
+    let b = mutation_histogram(&bulk.scheme().metrics()).count;
+    let i = mutation_histogram(&incr.scheme().metrics()).count;
     assert_eq!(i, 20_000, "per-node path pays one call per tag");
     assert_eq!(b, 1, "bulk path is a single scheme call");
     assert!(
@@ -165,7 +165,7 @@ fn bulk_load_issues_10x_fewer_mut_calls_than_per_node() {
 
 #[test]
 fn fragment_batches_beat_per_element_insertion() {
-    use ltree::obs::{mutation_calls, TracedScheme};
+    use ltree::obs::{mutation_histogram, TracedScheme};
     // The same bar for incremental growth: inserting a 50-element
     // fragment is one splice, not 100 single inserts.
     let params = Params::new(4, 2).unwrap();
@@ -177,12 +177,12 @@ fn fragment_batches_beat_per_element_insertion() {
         frag.add_child(fr, if i % 2 == 0 { "x" } else { "y" })
             .unwrap();
     }
-    let before = mutation_calls(&doc.scheme().metrics());
+    let before = mutation_histogram(&doc.scheme().metrics()).count;
     for i in 0..10 {
         doc.insert_fragment(root, i, &frag).unwrap();
     }
     assert_eq!(
-        mutation_calls(&doc.scheme().metrics()) - before,
+        mutation_histogram(&doc.scheme().metrics()).count - before,
         10,
         "one splice per 50-element fragment"
     );
