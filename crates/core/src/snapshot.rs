@@ -1,18 +1,33 @@
-//! Snapshot persistence for the materialized L-Tree.
+//! The workspace's one persisted-image container, and the L-Tree shape
+//! snapshot (`LTRS`) that is its first user.
 //!
-//! A production XML store checkpoints its labeling structure. The format
-//! exploits the paper's own observation (Section 4.2): **labels are
-//! implicit in the structure**, so a snapshot stores only the tree shape
-//! (pre-order, one tag byte per node plus fanout) and the parameters —
-//! every `num` is recomputed on load by one relabel pass, and the loaded
-//! tree is bit-for-bit the one that was saved.
+//! ## The container
 //!
-//! Layout (little-endian):
+//! Every image the workspace persists — this module's `LTRS` snapshot,
+//! the durable layer's `LTDS` checkpoint and the `LXDC` persisted
+//! document — has one shape (little-endian):
 //!
 //! ```text
-//! magic "LTRS" | version u16 | f u32 | s u32 | height u8 | n_leaves u64
-//! | pre-order nodes | checksum u64 (FNV-1a of everything before it)
-//! node := 0x01 fanout:u16   (interior)
+//! magic[4] | version u16 | body | checksum u64 (FNV-1a of everything before it)
+//! ```
+//!
+//! [`begin`] writes the header and [`seal`] the trailer. [`open`]
+//! verifies the trailer, then the magic, then the version, and returns a
+//! bounds-checked [`Reader`] over the body. Write-ahead-log records carry
+//! the same trailer over their body through [`seal`] and [`unseal`]. No
+//! other module computes the checksum or parses a header.
+//!
+//! ## The `LTRS` snapshot
+//!
+//! The format exploits the paper's own observation (Section 4.2):
+//! **labels are implicit in the structure**, so a snapshot stores only
+//! the tree shape (pre-order, one tag byte per node plus fanout) and the
+//! parameters — every `num` is recomputed on load by one relabel pass,
+//! and the loaded tree is bit-for-bit the one that was saved. Body:
+//!
+//! ```text
+//! f u32 | s u32 | height u8 | n_leaves u64 | pre-order nodes
+//! node := 0x01 fanout:u16   (interior; 1 <= fanout <= f)
 //!       | 0x02 flags:u8     (leaf; bit 0 = tombstone)
 //! ```
 
@@ -24,10 +39,11 @@ const VERSION: u16 = 1;
 const TAG_INTERIOR: u8 = 0x01;
 const TAG_LEAF: u8 = 0x02;
 
-/// Errors while decoding a snapshot.
+/// Errors while opening or decoding a sealed image. The texts name no
+/// format: callers prefix the image they were reading.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapshotError {
-    /// Not an L-Tree snapshot.
+    /// Not an image of the expected format.
     BadMagic,
     /// Produced by an incompatible version of this library.
     BadVersion(u16),
@@ -37,31 +53,27 @@ pub enum SnapshotError {
     Corrupt(String),
     /// The checksum did not match (bit rot / torn write).
     ChecksumMismatch,
-    /// Parameters stored in the snapshot fail validation.
+    /// Parameters stored in the image fail validation.
     InvalidParams(crate::LTreeError),
 }
 
 impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            SnapshotError::BadMagic => write!(f, "not an L-Tree snapshot (bad magic)"),
-            SnapshotError::BadVersion(v) => write!(f, "unsupported snapshot version {v}"),
-            SnapshotError::Truncated => write!(f, "snapshot ends unexpectedly"),
-            SnapshotError::Corrupt(msg) => write!(f, "corrupt snapshot: {msg}"),
-            SnapshotError::ChecksumMismatch => write!(f, "snapshot checksum mismatch"),
-            SnapshotError::InvalidParams(e) => {
-                write!(f, "snapshot carries invalid parameters: {e}")
-            }
+            SnapshotError::BadMagic => write!(f, "bad magic (not this image format)"),
+            SnapshotError::BadVersion(v) => write!(f, "unsupported version {v}"),
+            SnapshotError::Truncated => write!(f, "ends unexpectedly"),
+            SnapshotError::Corrupt(msg) => write!(f, "corrupt: {msg}"),
+            SnapshotError::ChecksumMismatch => write!(f, "checksum mismatch"),
+            SnapshotError::InvalidParams(e) => write!(f, "invalid parameters: {e}"),
         }
     }
 }
 
 impl std::error::Error for SnapshotError {}
 
-/// FNV-1a (64-bit) over `bytes`: the dependency-free checksum that
-/// trails every persisted image in the workspace — these snapshots and
-/// the durable layer's write-ahead-log records and `LTDS` images.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a (64-bit): the dependency-free checksum behind [`seal`].
+fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         hash ^= u64::from(b);
@@ -70,61 +82,116 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Serialize a tree. The paired loader is [`load`].
-pub fn save(tree: &LTree) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + tree.len() * 2);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&tree.params().f().to_le_bytes());
-    out.extend_from_slice(&tree.params().s().to_le_bytes());
-    out.push(tree.height());
-    out.extend_from_slice(&(tree.len() as u64).to_le_bytes());
-    tree.serialize_structure(&mut out);
-    let checksum = fnv1a(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
+/// Start an image: its `magic | version` header. Append the body, then
+/// [`seal`] it.
+pub fn begin(magic: &[u8; 4], version: u16) -> Vec<u8> {
+    let mut out = magic.to_vec();
+    out.extend_from_slice(&version.to_le_bytes());
     out
 }
 
-struct Reader<'a> {
+/// Append the checksum trailer over every byte of `out`.
+pub fn seal(out: &mut Vec<u8>) {
+    let sum = fnv1a(out);
+    out.extend_from_slice(&sum.to_le_bytes());
+}
+
+/// Verify a [`seal`]ed byte string and return what precedes its trailer.
+pub fn unseal(bytes: &[u8]) -> Result<&[u8], SnapshotError> {
+    let len = bytes.len().checked_sub(8).ok_or(SnapshotError::Truncated)?;
+    let (body, trailer) = bytes.split_at(len);
+    if fnv1a(body).to_le_bytes() != trailer {
+        return Err(SnapshotError::ChecksumMismatch);
+    }
+    Ok(body)
+}
+
+/// Open an image written by [`begin`] and [`seal`]: verify the trailer,
+/// then the magic, then the version, and return a reader over the body.
+pub fn open<'a>(
     bytes: &'a [u8],
-    pos: usize,
+    magic: &[u8; 4],
+    version: u16,
+) -> Result<Reader<'a>, SnapshotError> {
+    let mut r = Reader::new(unseal(bytes)?);
+    if r.take(4)? != magic {
+        return Err(SnapshotError::BadMagic);
+    }
+    let v = r.u16()?;
+    if v != version {
+        return Err(SnapshotError::BadVersion(v));
+    }
+    Ok(r)
+}
+
+/// A bounds-checked little-endian cursor over an image body: reading
+/// past the end is [`SnapshotError::Truncated`], never a panic.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    bytes: &'a [u8],
 }
 
 impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let end = self.pos.checked_add(n).ok_or(SnapshotError::Truncated)?;
-        if end > self.bytes.len() {
-            return Err(SnapshotError::Truncated);
-        }
-        let out = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(out)
+    /// A reader over `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Reader { bytes }
     }
 
-    fn u8(&mut self) -> Result<u8, SnapshotError> {
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+        if n > self.bytes.len() {
+            return Err(SnapshotError::Truncated);
+        }
+        let (head, rest) = self.bytes.split_at(n);
+        self.bytes = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], SnapshotError> {
+        Ok(self.take(N)?.try_into().expect("take returns N bytes"))
+    }
+
+    /// The next byte.
+    pub fn u8(&mut self) -> Result<u8, SnapshotError> {
         Ok(self.take(1)?[0])
     }
 
-    fn u16(&mut self) -> Result<u16, SnapshotError> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
+    /// The next little-endian `u16`.
+    pub fn u16(&mut self) -> Result<u16, SnapshotError> {
+        self.array().map(u16::from_le_bytes)
     }
 
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
+    /// The next little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, SnapshotError> {
+        self.array().map(u32::from_le_bytes)
     }
 
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+    /// The next little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, SnapshotError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    /// Every byte not yet read.
+    pub fn rest(&mut self) -> &'a [u8] {
+        std::mem::take(&mut self.bytes)
+    }
+
+    /// Whether every byte has been read.
+    pub fn is_empty(&self) -> bool {
+        self.bytes.is_empty()
+    }
+
+    /// End of the body: anything left over is [`SnapshotError::Corrupt`].
+    pub fn finish(self) -> Result<(), SnapshotError> {
+        match self.bytes.len() {
+            0 => Ok(()),
+            n => Err(SnapshotError::Corrupt(format!("{n} trailing bytes"))),
+        }
     }
 }
 
-/// Decoded structural events handed to the tree rebuilder.
+/// One node of a tree's shape, in pre-order: what [`save`] encodes and
+/// [`load`] hands the tree rebuilder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum StructureEvent {
     /// Interior node with this many children (children follow pre-order).
@@ -133,29 +200,31 @@ pub(crate) enum StructureEvent {
     Leaf(bool),
 }
 
+/// Serialize a tree. The paired loader is [`load`].
+pub fn save(tree: &LTree) -> Vec<u8> {
+    let mut out = begin(MAGIC, VERSION);
+    out.extend_from_slice(&tree.params().f().to_le_bytes());
+    out.extend_from_slice(&tree.params().s().to_le_bytes());
+    out.push(tree.height());
+    out.extend_from_slice(&(tree.len() as u64).to_le_bytes());
+    for event in tree.structure() {
+        match event {
+            StructureEvent::Interior(fanout) => {
+                out.push(TAG_INTERIOR);
+                out.extend_from_slice(&fanout.to_le_bytes());
+            }
+            StructureEvent::Leaf(deleted) => out.extend_from_slice(&[TAG_LEAF, u8::from(deleted)]),
+        }
+    }
+    seal(&mut out);
+    out
+}
+
 /// Deserialize a snapshot produced by [`save`]. Returns the tree plus its
 /// leaves in document order (handles are *not* stable across
 /// save/load — the caller re-binds its references via this vector).
 pub fn load(bytes: &[u8]) -> Result<(LTree, Vec<LeafId>), SnapshotError> {
-    if bytes.len() < 8 {
-        return Err(SnapshotError::Truncated);
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 8);
-    let stored = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
-    if fnv1a(body) != stored {
-        return Err(SnapshotError::ChecksumMismatch);
-    }
-    let mut r = Reader {
-        bytes: body,
-        pos: 0,
-    };
-    if r.take(4)? != MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = r.u16()?;
-    if version != VERSION {
-        return Err(SnapshotError::BadVersion(version));
-    }
+    let mut r = open(bytes, MAGIC, VERSION)?;
     let f = r.u32()?;
     let s = r.u32()?;
     let params = Params::new(f, s).map_err(SnapshotError::InvalidParams)?;
@@ -163,16 +232,16 @@ pub fn load(bytes: &[u8]) -> Result<(LTree, Vec<LeafId>), SnapshotError> {
     let n_leaves = r.u64()?;
 
     let mut events = Vec::new();
-    while r.pos < body.len() {
-        match r.u8()? {
-            TAG_INTERIOR => events.push(StructureEvent::Interior(r.u16()?)),
-            TAG_LEAF => events.push(StructureEvent::Leaf(r.u8()? & 1 == 1)),
+    while !r.is_empty() {
+        events.push(match r.u8()? {
+            TAG_INTERIOR => StructureEvent::Interior(r.u16()?),
+            TAG_LEAF => StructureEvent::Leaf(r.u8()? & 1 == 1),
             other => {
                 return Err(SnapshotError::Corrupt(format!(
                     "unknown node tag {other:#x}"
                 )))
             }
-        }
+        });
     }
     let (tree, leaves) = LTree::from_structure(params, height, &events)
         .map_err(|e: crate::LTreeError| SnapshotError::Corrupt(e.to_string()))?;
@@ -185,21 +254,6 @@ pub fn load(bytes: &[u8]) -> Result<(LTree, Vec<LeafId>), SnapshotError> {
     tree.check_invariants()
         .map_err(|e| SnapshotError::Corrupt(e.to_string()))?;
     Ok((tree, leaves))
-}
-
-/// Convenience: write a snapshot to a file.
-pub fn save_to_file(tree: &LTree, path: &std::path::Path) -> std::io::Result<()> {
-    std::fs::write(path, save(tree))
-}
-
-/// Convenience: load a snapshot from a file. The outer error is I/O, the
-/// inner one decoding.
-#[allow(clippy::type_complexity)]
-pub fn load_from_file(
-    path: &std::path::Path,
-) -> std::io::Result<Result<(LTree, Vec<LeafId>), SnapshotError>> {
-    let bytes = std::fs::read(path)?;
-    Ok(load(&bytes))
 }
 
 #[cfg(test)]
@@ -298,16 +352,28 @@ mod tests {
         ));
     }
 
+    /// A crafted image with a valid trailer: `f = 4` at the maximum
+    /// height, a root of fanout 8, each child a chain of single-child
+    /// interiors ending in one leaf. Relabeling it would overflow the
+    /// `u128` label space; the fanout check makes it `Corrupt` instead.
     #[test]
-    fn file_helpers_roundtrip() {
-        let tree = sample_tree();
-        let dir = std::env::temp_dir().join("ltree-snapshot-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tree.snap");
-        save_to_file(&tree, &path).unwrap();
-        let loaded = load_from_file(&path).unwrap().unwrap();
-        assert_eq!(loaded.0.len(), tree.len());
-        std::fs::remove_file(&path).ok();
+    fn fanout_above_f_is_corrupt_not_an_overflow() {
+        let height = Params::new(4, 2).unwrap().max_height();
+        let mut image = begin(MAGIC, VERSION);
+        image.extend_from_slice(&4u32.to_le_bytes());
+        image.extend_from_slice(&2u32.to_le_bytes());
+        image.push(height);
+        image.extend_from_slice(&8u64.to_le_bytes());
+        image.extend_from_slice(&[TAG_INTERIOR, 8, 0]);
+        for _ in 0..8 {
+            for _ in 1..height {
+                image.extend_from_slice(&[TAG_INTERIOR, 1, 0]);
+            }
+            image.extend_from_slice(&[TAG_LEAF, 0]);
+        }
+        seal(&mut image);
+        assert_eq!(image.len(), 1346);
+        assert!(matches!(load(&image), Err(SnapshotError::Corrupt(_))));
     }
 
     #[test]

@@ -25,6 +25,7 @@ use crate::label::Label;
 use crate::layout::{ceil_div, even_split, RootRebuild};
 use crate::node::{Node, NodeData};
 use crate::params::Params;
+use crate::snapshot::StructureEvent;
 use crate::stats::Stats;
 
 /// Stable identifier of a leaf (one document tag). Valid for the lifetime
@@ -733,42 +734,38 @@ impl LTree {
     // Snapshot support (see `crate::snapshot` for the format)
     // ------------------------------------------------------------------
 
-    /// Append the pre-order structural encoding of the tree to `out`.
-    /// Labels are not stored: they are implicit in the structure (the
-    /// paper's Section 4.2 observation) and recomputed on load.
-    pub(crate) fn serialize_structure(&self, out: &mut Vec<u8>) {
-        if self.is_empty() {
-            return;
-        }
-        let mut stack = vec![self.root];
-        while let Some(id) = stack.pop() {
-            let node = self.arena.node(id);
-            match &node.data {
+    /// The tree's shape as pre-order [`StructureEvent`]s (none for an
+    /// empty tree). Labels are not part of it: they are implicit in the
+    /// structure (the paper's Section 4.2 observation) and recomputed on
+    /// load.
+    pub(crate) fn structure(&self) -> impl Iterator<Item = StructureEvent> + '_ {
+        let mut stack = if self.is_empty() {
+            Vec::new()
+        } else {
+            vec![self.root]
+        };
+        std::iter::from_fn(move || {
+            let id = stack.pop()?;
+            Some(match &self.arena.node(id).data {
                 NodeData::Internal { children, .. } => {
-                    out.push(0x01);
-                    let fanout =
-                        u16::try_from(children.len()).expect("fanout fits u16 (f <= 65536)");
-                    out.extend_from_slice(&fanout.to_le_bytes());
-                    for &c in children.iter().rev() {
-                        stack.push(c);
-                    }
+                    stack.extend(children.iter().rev());
+                    StructureEvent::Interior(
+                        u16::try_from(children.len()).expect("fanout fits u16 (f <= 65536)"),
+                    )
                 }
-                NodeData::Leaf { deleted } => {
-                    out.push(0x02);
-                    out.push(u8::from(*deleted));
-                }
-            }
-        }
+                NodeData::Leaf { deleted } => StructureEvent::Leaf(*deleted),
+            })
+        })
     }
 
     /// Rebuild a tree from the pre-order events of a snapshot; the
-    /// inverse of [`serialize_structure`](Self::serialize_structure).
+    /// inverse of [`structure`](Self::structure).
     pub(crate) fn from_structure(
         params: Params,
         height: u8,
-        events: &[crate::snapshot::StructureEvent],
+        events: &[StructureEvent],
     ) -> Result<(Self, Vec<LeafId>)> {
-        use crate::snapshot::StructureEvent as Ev;
+        use StructureEvent as Ev;
         let mut tree = LTree::new(params);
         if events.is_empty() {
             return Ok((tree, Vec::new()));
@@ -792,8 +789,11 @@ impl LTree {
             // Allocate.
             let node_id = match ev {
                 Ev::Interior(fanout) => {
-                    if fanout == 0 {
-                        return Err(corrupt()); // empty trees encode as zero events
+                    // Empty trees encode as zero events; a fanout within
+                    // `f` at a height within `max_height` keeps every
+                    // label below `B^H`.
+                    if fanout == 0 || u32::from(fanout) > params.f() {
+                        return Err(corrupt());
                     }
                     tree.arena.alloc(Node::new_internal(None, 0))
                 }

@@ -9,14 +9,16 @@
 //!   durable write;
 //! * every `checkpoint_every` mutations (and on demand via
 //!   [`checkpoint`](DurableScheme::checkpoint)) the whole logical state
-//!   is written as a compact snapshot — magic, version, body, FNV-1a
-//!   trailer, the `ltree_core::snapshot` idiom — and the log is
-//!   truncated;
+//!   is written as a compact `LTDS` image — sealed and opened by
+//!   [`snapshot::begin`], [`snapshot::seal`] and [`snapshot::open`] —
+//!   and the log is truncated;
 //! * [`open`](DurableScheme::open) recovers: load the latest valid
 //!   snapshot, replay the log tail (records the snapshot already
 //!   covers are skipped by sequence number), tolerate a torn final
 //!   record by truncating it away. Genuine corruption is a typed
-//!   [`LTreeError::Durability`] error.
+//!   [`LTreeError::Durability`] error — so is a snapshot whose handle
+//!   sets are inconsistent (a handle that is zero, not below the
+//!   handle counter, or listed twice).
 //!
 //! ## Stable handles across restarts
 //!
@@ -48,7 +50,7 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 use ltree_core::metrics::Metric;
-use ltree_core::snapshot::fnv1a;
+use ltree_core::snapshot::{self, Reader, SnapshotError};
 use ltree_core::{
     BatchLabeling, DynScheme, Instrumented, LTreeError, LeafHandle, OrderedLabeling,
     OrderedLabelingMut, Result, SchemeStats,
@@ -111,7 +113,9 @@ struct WalCounters {
     replayed: u64,
 }
 
-/// The decoded snapshot body.
+/// The `LTDS` checkpoint: `snap_seq u64 | next_handle u64 | live | dead`
+/// in a [`snapshot`] container, each handle list a `u64` count followed
+/// by the handles.
 struct Snapshot {
     snap_seq: u64,
     next_handle: u64,
@@ -121,72 +125,32 @@ struct Snapshot {
 
 impl Snapshot {
     fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(SNAP_MAGIC);
-        out.extend_from_slice(&SNAP_VERSION.to_le_bytes());
+        let mut out = snapshot::begin(SNAP_MAGIC, SNAP_VERSION);
         out.extend_from_slice(&self.snap_seq.to_le_bytes());
         out.extend_from_slice(&self.next_handle.to_le_bytes());
-        out.extend_from_slice(&(self.live.len() as u64).to_le_bytes());
-        for h in &self.live {
-            out.extend_from_slice(&h.to_le_bytes());
+        for list in [&self.live, &self.dead] {
+            out.extend_from_slice(&(list.len() as u64).to_le_bytes());
+            for h in list {
+                out.extend_from_slice(&h.to_le_bytes());
+            }
         }
-        out.extend_from_slice(&(self.dead.len() as u64).to_le_bytes());
-        for h in &self.dead {
-            out.extend_from_slice(&h.to_le_bytes());
-        }
-        let sum = fnv1a(&out);
-        out.extend_from_slice(&sum.to_le_bytes());
+        snapshot::seal(&mut out);
         out
     }
 
-    fn decode(bytes: &[u8]) -> Result<Self> {
-        if bytes.len() < 4 + 2 + 8 {
-            return Err(store_err("snapshot image is truncated"));
+    fn decode(bytes: &[u8]) -> std::result::Result<Self, SnapshotError> {
+        fn handles(r: &mut Reader<'_>) -> std::result::Result<Vec<u64>, SnapshotError> {
+            (0..r.u64()?).map(|_| r.u64()).collect()
         }
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        let stored = u64::from_le_bytes(trailer.try_into().unwrap());
-        if fnv1a(body) != stored {
-            return Err(store_err("snapshot checksum does not verify"));
-        }
-        if &body[..4] != SNAP_MAGIC {
-            return Err(store_err("snapshot magic mismatch (not an LTDS image)"));
-        }
-        let version = u16::from_le_bytes(body[4..6].try_into().unwrap());
-        if version != SNAP_VERSION {
-            return Err(store_err(format!(
-                "snapshot version {version} is not supported (expected {SNAP_VERSION})"
-            )));
-        }
-        let mut pos = 6usize;
-        let u64_at = |p: &mut usize| -> Result<u64> {
-            let end = *p + 8;
-            let raw = body
-                .get(*p..end)
-                .ok_or_else(|| store_err("snapshot body is short"))?;
-            *p = end;
-            Ok(u64::from_le_bytes(raw.try_into().unwrap()))
+        let mut r = snapshot::open(bytes, SNAP_MAGIC, SNAP_VERSION)?;
+        let snap = Snapshot {
+            snap_seq: r.u64()?,
+            next_handle: r.u64()?,
+            live: handles(&mut r)?,
+            dead: handles(&mut r)?,
         };
-        let snap_seq = u64_at(&mut pos)?;
-        let next_handle = u64_at(&mut pos)?;
-        let live_n = u64_at(&mut pos)? as usize;
-        let mut live = Vec::with_capacity(live_n.min(body.len() / 8));
-        for _ in 0..live_n {
-            live.push(u64_at(&mut pos)?);
-        }
-        let dead_n = u64_at(&mut pos)? as usize;
-        let mut dead = Vec::with_capacity(dead_n.min(body.len() / 8));
-        for _ in 0..dead_n {
-            dead.push(u64_at(&mut pos)?);
-        }
-        if pos != body.len() {
-            return Err(store_err("snapshot body has trailing bytes"));
-        }
-        Ok(Snapshot {
-            snap_seq,
-            next_handle,
-            live,
-            dead,
-        })
+        r.finish()?;
+        Ok(snap)
     }
 }
 
@@ -253,24 +217,32 @@ impl DurableScheme {
             ));
         }
         if let Some(image) = me.dir.read(SNAP_FILE)? {
-            let snap = Snapshot::decode(&image)?;
+            let snap =
+                Snapshot::decode(&image).map_err(|e| store_err(format!("snapshot image: {e}")))?;
             me.snap_seq = snap.snap_seq;
             me.next_seq = snap.snap_seq + 1;
             me.next_handle = snap.next_handle;
-            if !snap.live.is_empty() {
-                let ihs = me
-                    .inner
+            let ihs = if snap.live.is_empty() {
+                Vec::new()
+            } else {
+                me.inner
                     .bulk_build(snap.live.len())
-                    .map_err(|e| store_err(format!("snapshot rebuild: {e}")))?;
-                for (dh, ih) in snap.live.iter().zip(&ihs) {
-                    me.slots.insert(*dh, Some(ih.0));
-                    me.rev.insert(ih.0, *dh);
+                    .map_err(|e| store_err(format!("snapshot rebuild: {e}")))?
+            };
+            let live = snap.live.iter().zip(ihs.iter().map(|ih| Some(ih.0)));
+            let dead = snap.dead.iter().map(|dh| (dh, None));
+            for (&dh, slot) in live.chain(dead) {
+                // Every handle was minted below the counter, exactly once.
+                if dh == 0 || dh >= snap.next_handle || me.slots.insert(dh, slot).is_some() {
+                    return Err(store_err(format!(
+                        "snapshot image: handle {dh} is zero, unminted or listed twice"
+                    )));
                 }
-                me.live = snap.live.len();
+                if let Some(ih) = slot {
+                    me.rev.insert(ih, dh);
+                }
             }
-            for dh in snap.dead {
-                me.slots.insert(dh, None);
-            }
+            me.live = snap.live.len();
         }
         let log = me.dir.read(WAL_FILE)?.unwrap_or_default();
         let scan = scan_log(&log)?;
@@ -820,6 +792,52 @@ mod tests {
             Err(other) => panic!("expected a Durability error, got {other:?}"),
             Ok(_) => panic!("expected a Durability error, got a recovered scheme"),
         }
+    }
+
+    /// Recover from a sealed `LTDS` image holding these handle sets.
+    fn open_image(next_handle: u64, live: &[u64], dead: &[u64]) -> Result<DurableScheme> {
+        let mut dir = SimDir::new(8);
+        let image = Snapshot {
+            snap_seq: 0,
+            next_handle,
+            live: live.to_vec(),
+            dead: dead.to_vec(),
+        }
+        .encode();
+        dir.replace(SNAP_FILE, &image).unwrap();
+        DurableScheme::open(ltree(), Box::new(dir), opts(SyncPolicy::Always, 0))
+    }
+
+    fn assert_bad_handles(opened: Result<DurableScheme>) {
+        match opened {
+            Err(LTreeError::Durability { context }) => {
+                assert!(context.contains("handle"), "{context}")
+            }
+            Err(other) => panic!("expected a Durability error, got {other:?}"),
+            Ok(_) => panic!("an inconsistent handle set recovered"),
+        }
+    }
+
+    /// `live = [1, 1, 2]` would recover with `len() = 2 < live_len() = 3`.
+    #[test]
+    fn snapshot_with_a_repeated_live_handle_is_rejected() {
+        assert_bad_handles(open_image(3, &[1, 1, 2], &[]));
+    }
+
+    /// A handle at or past the counter would be minted again by the next
+    /// insert, after which a cursor walk never ends; handle 0 is never
+    /// minted at all.
+    #[test]
+    fn snapshot_with_an_unminted_handle_is_rejected() {
+        assert_bad_handles(open_image(2, &[1, 2], &[]));
+        assert_bad_handles(open_image(3, &[0, 1], &[]));
+    }
+
+    /// `live = [1, 2], dead = [2]` would recover with `live_len() = 2`
+    /// but a one-item cursor.
+    #[test]
+    fn snapshot_with_a_handle_both_live_and_dead_is_rejected() {
+        assert_bad_handles(open_image(3, &[1, 2], &[2]));
     }
 
     #[test]

@@ -11,9 +11,12 @@
 //! A log is a sequence of self-delimiting records:
 //!
 //! ```text
-//! u32 LE body length | body | u64 LE FNV-1a(body)
+//! u32 LE body length | body | u64 LE checksum(body)
 //! body = u64 LE sequence number ++ wire-encoded Request payload
 //! ```
+//!
+//! The trailer is the persisted-image one: [`snapshot::seal`] appends
+//! it and [`snapshot::unseal`] verifies it.
 //!
 //! The payload reuses [`wire::encode_request`]
 //! verbatim — every mutation the trait family can express already has a
@@ -52,7 +55,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use ltree_core::rng::SplitMix64;
-use ltree_core::snapshot::fnv1a;
+use ltree_core::snapshot::{self, Reader};
 use ltree_core::{LTreeError, Result};
 
 use crate::wire::{self, Request};
@@ -76,14 +79,11 @@ fn store_err(context: impl Into<String>) -> LTreeError {
 /// Encode one log record: `(seq, request)` framed with length prefix
 /// and checksum trailer.
 pub fn encode_record(seq: u64, req: &Request) -> Vec<u8> {
-    let payload = wire::encode_request(req);
-    let mut body = Vec::with_capacity(8 + payload.len());
-    body.extend_from_slice(&seq.to_le_bytes());
-    body.extend_from_slice(&payload);
-    let mut out = Vec::with_capacity(4 + body.len() + 8);
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    let mut body = seq.to_le_bytes().to_vec();
+    body.extend_from_slice(&wire::encode_request(req));
+    let mut out = (body.len() as u32).to_le_bytes().to_vec();
+    snapshot::seal(&mut body);
     out.extend_from_slice(&body);
-    out.extend_from_slice(&fnv1a(&body).to_le_bytes());
     out
 }
 
@@ -105,29 +105,25 @@ pub fn scan_log(bytes: &[u8]) -> Result<LogScan> {
     let mut records = Vec::new();
     let mut pos = 0usize;
     loop {
-        let rest = &bytes[pos..];
-        if rest.len() < 4 {
-            break; // clean end, or a torn length prefix
-        }
-        let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
-        if rest.len() < 4 + len + 8 {
-            break; // torn record: the crash landed mid-append
-        }
-        let body = &rest[4..4 + len];
-        let stored = u64::from_le_bytes(rest[4 + len..4 + len + 8].try_into().unwrap());
-        if fnv1a(body) != stored {
-            return Err(store_err(format!(
+        let mut r = Reader::new(&bytes[pos..]);
+        // A missing length prefix is a clean end or a torn prefix; a
+        // missing body or trailer, a crash that landed mid-append.
+        let Ok(len) = r.u32() else { break };
+        let Ok(sealed) = r.take(len as usize + 8) else {
+            break;
+        };
+        let mut body = Reader::new(snapshot::unseal(sealed).map_err(|_| {
+            store_err(format!(
                 "log record at byte {pos} is complete but its checksum does not \
                  verify — the log is corrupt, not merely torn"
-            )));
-        }
-        if body.len() < 8 {
-            return Err(store_err(format!(
+            ))
+        })?);
+        let seq = body.u64().map_err(|_| {
+            store_err(format!(
                 "log record at byte {pos} is too short to carry a sequence number"
-            )));
-        }
-        let seq = u64::from_le_bytes(body[..8].try_into().unwrap());
-        let req = wire::decode_request(&body[8..])
+            ))
+        })?;
+        let req = wire::decode_request(body.rest())
             .map_err(|e| store_err(format!("log record at byte {pos} (seq {seq}): {e}")))?;
         if let Some(&(prev, _)) = records.last() {
             if seq <= prev {
@@ -137,7 +133,7 @@ pub fn scan_log(bytes: &[u8]) -> Result<LogScan> {
             }
         }
         records.push((seq, req));
-        pos += 4 + len + 8;
+        pos += 4 + sealed.len();
     }
     Ok(LogScan {
         records,

@@ -8,10 +8,10 @@
 //! re-parsed document would get *bulk-load* labels instead and lose the
 //! update history's hotspot adaptation — the snapshot keeps it.
 //!
-//! Format: `"LXDC" | version u16 | xml_len u64 | xml bytes | snapshot |
-//! checksum u64`, the checksum being FNV-1a ([`snapshot::fnv1a`]) of
-//! everything before it — the trailer the nested snapshot carries too,
-//! here over the XML text as well.
+//! The image is an `LXDC` container ([`snapshot::begin`],
+//! [`snapshot::seal`], [`snapshot::open`]) whose body is
+//! `xml_len u64 | xml bytes | snapshot`, the nested `LTRS` snapshot
+//! keeping its own trailer.
 
 use ltree_core::snapshot::{self, SnapshotError};
 use ltree_core::{LTree, LeafHandle};
@@ -21,58 +21,34 @@ use crate::error::{Result, XmlError};
 
 const MAGIC: &[u8; 4] = b"LXDC";
 const VERSION: u16 = 2;
-/// Magic, version and XML length.
-const HEADER_LEN: usize = 4 + 2 + 8;
-/// The checksum trailer.
-const CHECKSUM_LEN: usize = 8;
 
 /// Serialize a document (XML text + labeling-structure snapshot).
 pub fn save_document(doc: &Document<LTree>) -> Result<Vec<u8>> {
     let xml = crate::serializer::to_string(doc.tree())?;
-    let snap = snapshot::save(doc.scheme());
-    let mut out = Vec::with_capacity(HEADER_LEN + xml.len() + snap.len() + CHECKSUM_LEN);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
+    let mut out = snapshot::begin(MAGIC, VERSION);
     out.extend_from_slice(&(xml.len() as u64).to_le_bytes());
     out.extend_from_slice(xml.as_bytes());
-    out.extend_from_slice(&snap);
-    let checksum = snapshot::fnv1a(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
+    out.extend_from_slice(&snapshot::save(doc.scheme()));
+    snapshot::seal(&mut out);
     Ok(out)
 }
 
-fn corrupt(msg: impl Into<String>) -> XmlError {
+fn corrupt(msg: impl std::fmt::Display) -> XmlError {
     XmlError::Parse {
         line: 0,
         col: 0,
-        msg: msg.into(),
+        msg: format!("persisted document: {msg}"),
     }
 }
 
 /// Restore a document saved with [`save_document`]. Every element gets
 /// back the exact `(begin, end)` labels it had, tombstone slack included.
 pub fn load_document(bytes: &[u8]) -> Result<Document<LTree>> {
-    if bytes.len() < HEADER_LEN + CHECKSUM_LEN || &bytes[..4] != MAGIC {
-        return Err(corrupt("not a persisted document (bad magic)"));
-    }
-    let version = u16::from_le_bytes(bytes[4..6].try_into().expect("2 bytes"));
-    if version != VERSION {
-        return Err(corrupt(format!("unsupported document version {version}")));
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - CHECKSUM_LEN);
-    if snapshot::fnv1a(body) != u64::from_le_bytes(tail.try_into().expect("8 bytes")) {
-        return Err(corrupt("document checksum mismatch"));
-    }
-    let xml_len = u64::from_le_bytes(body[6..HEADER_LEN].try_into().expect("8 bytes")) as usize;
-    let rest = &body[HEADER_LEN..];
-    if rest.len() < xml_len {
-        return Err(corrupt("truncated document payload"));
-    }
-    let (xml_bytes, snap) = rest.split_at(xml_len);
-    let xml = std::str::from_utf8(xml_bytes).map_err(|_| corrupt("document text is not UTF-8"))?;
+    let (xml, snap) = split_image(bytes).map_err(corrupt)?;
+    let xml = std::str::from_utf8(xml).map_err(|_| corrupt("text is not UTF-8"))?;
     let tree = crate::parser::parse(xml)?;
     let (scheme, leaves) =
-        snapshot::load(snap).map_err(|e: SnapshotError| corrupt(e.to_string()))?;
+        snapshot::load(snap).map_err(|e| corrupt(format!("snapshot image: {e}")))?;
     // Live leaves in document order pair 1:1 with the document's tags;
     // tombstones are departed elements' slots and stay unbound.
     let live: Vec<LeafHandle> = leaves
@@ -83,11 +59,21 @@ pub fn load_document(bytes: &[u8]) -> Result<Document<LTree>> {
     Document::bind_existing(tree, scheme, &live)
 }
 
+/// The XML text and the nested snapshot of a sealed image.
+fn split_image(bytes: &[u8]) -> std::result::Result<(&[u8], &[u8]), SnapshotError> {
+    let mut r = snapshot::open(bytes, MAGIC, VERSION)?;
+    let xml_len = usize::try_from(r.u64()?).map_err(|_| SnapshotError::Truncated)?;
+    Ok((r.take(xml_len)?, r.rest()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dom::XmlTree;
     use ltree_core::Params;
+
+    /// Magic, version and XML length.
+    const HEADER_LEN: usize = 4 + 2 + 8;
 
     fn edited_document() -> Document<LTree> {
         let mut doc = Document::parse_str(
