@@ -26,7 +26,7 @@
 //! over the wire `Metrics` request and prints the snapshot as
 //! Prometheus exposition text (to `--out PATH` instead, when given).
 //! `--smoke` skips the address: it spins up an in-process
-//! `served(traced(ltree(4,2)))` stack on a loopback port, drives a
+//! `served(traced(ltree(4,2)))` stack on a `127.0.0.1` port, drives a
 //! small seeded workload through a real TCP client, and scrapes that —
 //! CI uploads the result as a sample exposition artifact.
 //!

@@ -78,9 +78,10 @@ pub fn default_config(scale: Scale) -> SweepConfig {
             // shard counts, so the report shows scaling across shards.
             "sharded(4,ltree(4,2))".into(),
             "sharded(8,ltree(4,2))".into(),
-            // The networked store over a loopback server: same logical
-            // scheme as ltree(4,2), plus a wire; its cells carry the
-            // round-trip count so batching shows up as a column.
+            // The networked store over an in-process server dialed over
+            // TCP: same logical scheme as ltree(4,2), plus a wire; its
+            // cells carry the round-trip count so batching shows up as a
+            // column.
             "served(ltree(4,2))".into(),
             // The pooled client (4 connections; single-threaded replay,
             // so this pins the pool's overhead at ~zero)…

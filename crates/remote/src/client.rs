@@ -2,7 +2,7 @@
 //! a [`LabelServer`].
 //!
 //! The client implements the whole ordered-labeling trait family over a
-//! [`ConnectionPool`] of [`Transport`](crate::transport::Transport)s,
+//! [`ConnectionPool`] of [`TcpTransport`](crate::transport::TcpTransport)s,
 //! so a remote store drops
 //! into any generic code path — a `Document`, the conformance suite, a
 //! `ShardedScheme` segment — unchanged:
@@ -232,8 +232,8 @@ impl WriteBuffer {
 /// A labeling scheme living behind a wire protocol. See the
 /// [module docs](self); construct with [`connect`](Self::connect) /
 /// [`connect_with`](Self::connect_with) (an external server),
-/// [`served`](Self::served) / [`served_with`](Self::served_with) (an
-/// in-process loopback server), or through the registry specs
+/// [`served`](Self::served) / [`served_with`](Self::served_with) (a
+/// server in this process, dialed over TCP), or through the registry specs
 /// `remote(host:port[,options])` / `served(inner[,options])`.
 ///
 /// ```
@@ -243,8 +243,8 @@ impl WriteBuffer {
 ///
 /// let mut reg = SchemeRegistry::with_builtin();
 /// register(&mut reg);
-/// // A loopback server is spawned behind the scenes; conns=2 pools two
-/// // transports onto it.
+/// // A server is bound on 127.0.0.1:0 behind the scenes; conns=2 pools
+/// // two TCP connections onto it.
 /// let mut scheme = reg.build("served(ltree(4,2),conns=2)").unwrap();
 /// let handles = scheme.bulk_build(100).unwrap(); // one round trip
 /// scheme
@@ -254,12 +254,12 @@ impl WriteBuffer {
 /// assert_eq!(scheme.cursor().count(), 110); // paged, not one trip per item
 /// ```
 pub struct RemoteScheme {
-    /// Declared before `server` so transports close first on drop and a
-    /// loopback server's threads are joined against closed sockets.
+    /// Declared before `server` so transports close first on drop and an
+    /// owned server's threads are joined against closed sockets.
     pool: ConnectionPool,
     cache: Mutex<PageCache>,
     buffer: Mutex<WriteBuffer>,
-    /// The loopback server, when this client owns one (`served`).
+    /// The in-process server, when this client owns one (`served`).
     server: Option<LabelServer>,
 }
 
@@ -277,10 +277,12 @@ impl RemoteScheme {
         Self::from_endpoint(Endpoint::tcp(addr)?, policy, None)
     }
 
-    /// Spawn an in-process loopback [`LabelServer`] hosting `inner` and
-    /// connect to it with the default policy. The server shuts down
-    /// when the returned scheme drops, so tests, benches and CI need no
-    /// external process. This is the `served(inner)` registry spec.
+    /// Bind a [`LabelServer`] hosting `inner` on `127.0.0.1:0` in this
+    /// process and connect to it over TCP with the default policy. The
+    /// server shuts down when the returned scheme drops, so tests,
+    /// benches and CI need no external process, yet every call crosses
+    /// the same socket path a `remote(…)` client does. This is the
+    /// `served(inner)` registry spec.
     pub fn served(inner: Box<dyn DynScheme>) -> Result<RemoteScheme> {
         Self::served_with(inner, ClientPolicy::default())
     }
@@ -288,7 +290,7 @@ impl RemoteScheme {
     /// [`served`](Self::served) under an explicit policy.
     pub fn served_with(inner: Box<dyn DynScheme>, policy: ClientPolicy) -> Result<RemoteScheme> {
         let server = LabelServer::bind("127.0.0.1:0", inner)?;
-        let endpoint = Endpoint::loopback(&server);
+        let endpoint = Endpoint::tcp(&server.local_addr().to_string())?;
         Self::from_endpoint(endpoint, policy, Some(server))
     }
 
@@ -311,8 +313,9 @@ impl RemoteScheme {
         })
     }
 
-    /// The loopback server, when this scheme owns one — the host-side
-    /// view of the same state (scheme stats, per-connection counters).
+    /// The in-process server, when this scheme owns one (`served`) — the
+    /// host-side view of the same state (scheme stats, per-connection
+    /// counters).
     pub fn server(&self) -> Option<&LabelServer> {
         self.server.as_ref()
     }
@@ -997,7 +1000,7 @@ impl Drop for RemoteScheme {
         // Best-effort: don't silently lose a coalesced backlog.
         let _ = self.flush_pending();
         // The pool (declared first) then drops its transports, closing
-        // sockets so an owned loopback server's threads unblock before
+        // sockets so an owned server's threads unblock before
         // `LabelServer::drop` joins them.
     }
 }

@@ -71,6 +71,15 @@ fn store_err(context: impl Into<String>) -> LTreeError {
     }
 }
 
+/// The log sequence number after `seq`, or an error at the last one.
+fn seq_after(seq: u64) -> Result<u64> {
+    seq.checked_add(1).ok_or_else(|| {
+        store_err(format!(
+            "log sequence number {seq} leaves none for the next record"
+        ))
+    })
+}
+
 /// When the log is made crash-durable relative to the acknowledgment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SyncPolicy {
@@ -219,8 +228,18 @@ impl DurableScheme {
         if let Some(image) = me.dir.read(SNAP_FILE)? {
             let snap =
                 Snapshot::decode(&image).map_err(|e| store_err(format!("snapshot image: {e}")))?;
+            // `slots` keeps every handle ever minted, so the lists must
+            // cover `1..next_handle` exactly — which also bounds the
+            // counter by the image's own size.
+            let listed = (snap.live.len() + snap.dead.len()) as u64;
+            if snap.next_handle.checked_sub(1) != Some(listed) {
+                return Err(store_err(format!(
+                    "snapshot image: next_handle {} does not follow the {listed} handles it lists",
+                    snap.next_handle
+                )));
+            }
             me.snap_seq = snap.snap_seq;
-            me.next_seq = snap.snap_seq + 1;
+            me.next_seq = seq_after(snap.snap_seq)?;
             me.next_handle = snap.next_handle;
             let ihs = if snap.live.is_empty() {
                 Vec::new()
@@ -250,9 +269,10 @@ impl DurableScheme {
             if *seq <= me.snap_seq {
                 continue; // the snapshot already covers this record
             }
+            let next_seq = seq_after(*seq)?;
             me.replay(req)
                 .map_err(|e| store_err(format!("replay of log record seq {seq}: {e}")))?;
-            me.next_seq = seq + 1;
+            me.next_seq = next_seq;
             me.wal.replayed += 1;
         }
         if scan.valid_len < log.len() as u64 {
@@ -366,7 +386,7 @@ impl DurableScheme {
     /// as "the store is no longer durable" and discard the instance.
     fn log(&mut self, req: Request) -> Result<()> {
         let seq = self.next_seq;
-        self.next_seq += 1;
+        self.next_seq = seq_after(seq)?;
         let rec = encode_record(seq, &req);
         self.dir.append(WAL_FILE, &rec)?;
         self.wal.appends += 1;
@@ -796,15 +816,17 @@ mod tests {
 
     /// Recover from a sealed `LTDS` image holding these handle sets.
     fn open_image(next_handle: u64, live: &[u64], dead: &[u64]) -> Result<DurableScheme> {
-        let mut dir = SimDir::new(8);
-        let image = Snapshot {
+        open_snapshot(Snapshot {
             snap_seq: 0,
             next_handle,
             live: live.to_vec(),
             dead: dead.to_vec(),
-        }
-        .encode();
-        dir.replace(SNAP_FILE, &image).unwrap();
+        })
+    }
+
+    fn open_snapshot(snap: Snapshot) -> Result<DurableScheme> {
+        let mut dir = SimDir::new(8);
+        dir.replace(SNAP_FILE, &snap.encode()).unwrap();
         DurableScheme::open(ltree(), Box::new(dir), opts(SyncPolicy::Always, 0))
     }
 
@@ -831,6 +853,48 @@ mod tests {
     fn snapshot_with_an_unminted_handle_is_rejected() {
         assert_bad_handles(open_image(2, &[1, 2], &[]));
         assert_bad_handles(open_image(3, &[0, 1], &[]));
+    }
+
+    /// A zero counter with empty lists would mint handle 0, and the
+    /// checkpoint after it could never be reopened.
+    #[test]
+    fn snapshot_with_a_zero_handle_counter_is_rejected() {
+        assert_bad_handles(open_image(0, &[], &[]));
+    }
+
+    /// A counter far past the listed handles would overflow at the next
+    /// mint.
+    #[test]
+    fn snapshot_with_a_counter_past_its_handles_is_rejected() {
+        assert_bad_handles(open_image(u64::MAX, &[1, 2], &[]));
+    }
+
+    /// The last sequence number leaves none for the next log record.
+    #[test]
+    fn snapshot_at_the_last_sequence_number_is_rejected() {
+        let opened = open_snapshot(Snapshot {
+            snap_seq: u64::MAX,
+            next_handle: 1,
+            live: Vec::new(),
+            dead: Vec::new(),
+        });
+        assert!(
+            matches!(opened, Err(LTreeError::Durability { .. })),
+            "snap_seq u64::MAX recovered"
+        );
+    }
+
+    /// The same holds for a log record replayed at the last one.
+    #[test]
+    fn log_record_at_the_last_sequence_number_is_rejected() {
+        let mut dir = SimDir::new(9);
+        dir.append(WAL_FILE, &encode_record(u64::MAX, &Request::BulkBuild(1)))
+            .unwrap();
+        let opened = DurableScheme::open(ltree(), Box::new(dir), opts(SyncPolicy::Always, 0));
+        assert!(
+            matches!(opened, Err(LTreeError::Durability { .. })),
+            "a record at seq u64::MAX recovered"
+        );
     }
 
     /// `live = [1, 2], dead = [2]` would recover with `live_len() = 2`

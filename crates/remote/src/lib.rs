@@ -17,11 +17,10 @@
 //!   `(handle, label)` pages, stats, and a `Metrics` scrape frame
 //!   carrying counter/gauge/histogram snapshots), with explicit
 //!   protocol-version and error frames;
-//! * [`transport`] — one framed request/response channel:
-//!   [`TcpTransport`] (a socket) or [`LoopbackTransport`] (in-process,
-//!   same codec, no syscalls) behind the [`Transport`] trait;
-//! * [`pool`] — the connection model: an [`Endpoint`] mints transports
-//!   (a `host:port`, or a loopback onto a server); a
+//! * [`transport`] — one framed request/response channel over a
+//!   socket, [`TcpTransport`];
+//! * [`pool`] — the connection model: an [`Endpoint`] is the
+//!   `host:port` transports dial; a
 //!   [`ConnectionPool`] owns `conns` of them so concurrent
 //!   readers spread over connections and hit the server's shared read
 //!   lock in parallel, while writes serialize through one pipelined
@@ -34,8 +33,7 @@
 //!   writes), thread-per-connection with request pipelining, graceful
 //!   shutdown, per-connection op/byte counters and per-request phase
 //!   latency histograms (decode / lock-wait / apply / encode) answered
-//!   live through the wire `Metrics` request, and
-//!   [`loopback`](LabelServer::loopback) in-process connections;
+//!   live through the wire `Metrics` request;
 //!   [`ServerGroup`] launches *n* of them and hands back the
 //!   `sharded(n,remote(…))` deployment spec in one call;
 //! * [`RemoteScheme`] — the client: the whole trait family over a pool,
@@ -59,7 +57,7 @@
 //! | spec | meaning |
 //! |------|---------|
 //! | `remote(addrs[,options])` | connect to already-running [`LabelServer`]s; `addrs` is `host:port` or a `\|`-separated list (each build connects to the next entry, round-robin) |
-//! | `served(inner[,options])` | spawn an in-process loopback server hosting `inner`, connect to it |
+//! | `served(inner[,options])` | bind a server hosting `inner` on `127.0.0.1:0` in this process, connect to it over TCP |
 //! | `durable(inner[,dir=PATH][,sync=always\|never][,checkpoint_every=N])` | write-ahead logged, snapshot-checkpointed wrapper; recovers from `dir` when it holds state, uses a self-cleaning scratch dir when `dir=` is omitted |
 //!
 //! Options are `key=value` pairs / bare flags mapping onto
@@ -69,12 +67,13 @@
 //! unchanged.
 //!
 //! `served` is the zero-infrastructure form: tests, benches and CI get
-//! a real client/server pair (real frames through the real codec) from
-//! a plain spec string. And because it is just another registry scheme,
-//! it composes: `sharded(4,served(ltree(4,2)))` routes each segment's
-//! splices to its own server through the segment directory, unchanged —
-//! and `sharded(4,remote(a\|b\|c\|d,conns=2))` is the same deployment
-//! over real processes, one spec string from [`ServerGroup::spec_with`].
+//! a real client/server pair (real frames through the real codec, over
+//! a real socket) from a plain spec string. And because it is just
+//! another registry scheme, it composes: `sharded(4,served(ltree(4,2)))`
+//! routes each segment's splices to its own server through the segment
+//! directory, unchanged — and `sharded(4,remote(a\|b\|c\|d,conns=2))`
+//! is the same deployment over real processes, one spec string from
+//! [`ServerGroup::spec_with`].
 //!
 //! ```
 //! use ltree_core::registry::SchemeRegistry;
@@ -102,8 +101,8 @@ pub mod wal;
 pub use client::{RemoteScheme, TransportStats};
 pub use durable::{DurableOptions, DurableScheme, SyncPolicy};
 pub use pool::{ClientPolicy, ConnectionPool, Endpoint};
-pub use server::{LabelServer, ServerGroup, TransportCounters};
-pub use transport::{LoopbackTransport, TcpTransport, Transport};
+pub use server::{LabelServer, ServerGroup};
+pub use transport::TcpTransport;
 pub use wal::{scratch_dir, DurableDir, FsDir, SimDir};
 pub use wire::PROTOCOL_VERSION;
 
@@ -126,8 +125,9 @@ use ltree_core::LTreeError;
 ///   redial the address the client was built with: the listed servers
 ///   are *not* replicas of each other.
 /// * `served(inner)` builds `inner` against the same registry
-///   (recursively — any spec works), hosts it on an in-process loopback
-///   server, and hands back the connected [`RemoteScheme`].
+///   (recursively — any spec works), hosts it on a [`LabelServer`] bound
+///   on `127.0.0.1:0` in this process, and hands back a
+///   [`RemoteScheme`] connected to it over TCP.
 ///
 /// Both accept trailing [`ClientPolicy`] options — `conns=N`,
 /// `retries=N`, `reconnect`, `timeout-ms=N`, `coalesce` — e.g.
@@ -195,7 +195,7 @@ pub fn register(reg: &mut SchemeRegistry) {
     );
     reg.register_composite(
         "served",
-        "loopback-served remote store; args: (inner-spec[,conns=N,retries=N,reconnect,timeout-ms=N,coalesce])",
+        "remote store on an in-process server, dialed over TCP; args: (inner-spec[,conns=N,retries=N,reconnect,timeout-ms=N,coalesce])",
         |reg, cfg, args| {
             let Some((SpecArg::Spec(inner), rest)) = args.split_first() else {
                 return Err(LTreeError::InvalidSpec {
@@ -407,7 +407,7 @@ mod tests {
         let mut s = served();
         let hs = s.bulk_build(10).unwrap();
         s.insert_after(hs[4]).unwrap();
-        let server = s.server().expect("loopback owns its server");
+        let server = s.server().expect("served owns its server");
         // Host-side view: bulk loading is not an update in the paper's
         // model, so only the point insert counts.
         assert_eq!(server.scheme_stats().inserts, 1);
@@ -432,6 +432,50 @@ mod tests {
             Err(LTreeError::EmptyBatch)
         ));
         assert!(matches!(s.bulk_build(4), Err(LTreeError::NotEmpty)));
+    }
+
+    /// An insert whose `Handles` reply could not be framed is refused
+    /// before it runs: `1 << 40` items would exhaust the server's memory,
+    /// and one past the frame's capacity would be applied yet unanswered.
+    #[test]
+    fn oversized_inserts_are_refused_before_they_run() {
+        use crate::wire::{Request, Response, WireSplice, MAX_REPLY_HANDLES};
+        let server = LabelServer::bind("127.0.0.1:0", ltree()).unwrap();
+        let pool = ConnectionPool::connect(
+            Endpoint::tcp(&server.local_addr().to_string()).unwrap(),
+            ClientPolicy::default(),
+        )
+        .unwrap();
+        let live_len = || match pool.call_read(&Request::LiveLen).unwrap() {
+            Response::Count(n) => n,
+            other => panic!("expected a count, got {other:?}"),
+        };
+        for n in [1 << 40, MAX_REPLY_HANDLES + 1] {
+            let refused = pool.call_write(&Request::BulkBuild(n));
+            assert!(
+                matches!(refused, Err(LTreeError::Remote { .. })),
+                "{refused:?}"
+            );
+            assert_eq!(live_len(), 0, "a refused bulk build of {n} applied nothing");
+        }
+        let anchor = match pool.call_write(&Request::BulkBuild(4)).unwrap() {
+            Response::Handles(hs) => hs[1],
+            other => panic!("expected handles, got {other:?}"),
+        };
+        for count in [1 << 40, MAX_REPLY_HANDLES + 1] {
+            let refused =
+                pool.call_write(&Request::Splice(WireSplice::InsertAfter { anchor, count }));
+            assert!(
+                matches!(refused, Err(LTreeError::Remote { .. })),
+                "{refused:?}"
+            );
+            assert_eq!(live_len(), 4, "a refused insert of {count} applied nothing");
+        }
+        // The connection still answers.
+        assert!(matches!(
+            pool.call_write(&Request::Splice(WireSplice::InsertAfter { anchor, count: 2 })),
+            Ok(Response::Handles(hs)) if hs.len() == 2
+        ));
     }
 
     #[test]

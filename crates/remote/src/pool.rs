@@ -1,14 +1,14 @@
 //! [`Endpoint`], [`ConnectionPool`] and [`ClientPolicy`] — the
 //! connection layer between a [`RemoteScheme`](crate::RemoteScheme) and
-//! its [`Transport`]s.
+//! its [`TcpTransport`]s.
 //!
 //! One client used to be one blocking socket: the server's
 //! shared-reader `RwLock` path was unreachable from a single client,
 //! and every transient socket error was terminal. This module replaces
 //! that with three small pieces:
 //!
-//! * an **[`Endpoint`]** knows how to mint a fresh [`Transport`] — a
-//!   TCP address or an in-process loopback onto a [`LabelServer`];
+//! * an **[`Endpoint`]** is the server address a fresh [`TcpTransport`]
+//!   dials;
 //! * a **[`ConnectionPool`]** owns `policy.conns` transports. Read
 //!   calls check out *any* idle connection (round-robin start, so K
 //!   client threads spread across connections and exercise the
@@ -47,8 +47,7 @@ use ltree_core::registry::SpecOptions;
 use ltree_core::{LTreeError, Result};
 
 use crate::client::TransportStats;
-use crate::server::LabelServer;
-use crate::transport::{TcpTransport, Transport};
+use crate::transport::TcpTransport;
 use crate::wire::{Request, Response, PROTOCOL_VERSION};
 
 /// Declarative client behavior: how many connections, how failures are
@@ -127,26 +126,17 @@ impl ClientPolicy {
     }
 }
 
-enum EndpointKind {
+/// The address a pool dials for fresh [`TcpTransport`]s to one label
+/// store. See the [module docs](self).
+pub struct Endpoint {
     /// Only `addrs[primary]` is ever dialed — the rest of the list
     /// exists for the registry's per-build rotation. Connecting to a
     /// *different* address on failure would silently attach the session
     /// to a store holding different state (in the `ServerGroup`
     /// deployment, another shard's), so failover across addresses is
     /// deliberately not done; it needs replication first.
-    Tcp { addrs: Vec<String>, primary: usize },
-    /// In-process transports onto a server's scheme: the closure holds
-    /// the server internals (not the server value) and registers each
-    /// minted transport as one server connection.
-    Loopback {
-        mint: Box<dyn Fn() -> Result<crate::transport::LoopbackTransport> + Send + Sync>,
-    },
-}
-
-/// A recipe for minting fresh [`Transport`]s to one label store. See
-/// the [module docs](self).
-pub struct Endpoint {
-    kind: EndpointKind,
+    addrs: Vec<String>,
+    primary: usize,
 }
 
 impl Endpoint {
@@ -178,47 +168,20 @@ impl Endpoint {
             });
         }
         let primary = primary % addrs.len();
-        Ok(Endpoint {
-            kind: EndpointKind::Tcp { addrs, primary },
-        })
+        Ok(Endpoint { addrs, primary })
     }
 
-    /// An in-process endpoint onto `server`'s scheme. Every minted
-    /// transport registers as one server connection.
-    pub fn loopback(server: &LabelServer) -> Endpoint {
-        Endpoint {
-            kind: EndpointKind::Loopback {
-                mint: server.loopback_minter(),
-            },
-        }
-    }
-
-    /// A short description for error contexts.
-    pub fn describe(&self) -> String {
-        match &self.kind {
-            EndpointKind::Tcp { addrs, primary } => addrs[*primary].clone(),
-            EndpointKind::Loopback { .. } => "loopback".into(),
-        }
-    }
-
-    /// Mint one fresh transport: dial this endpoint's (one) address, or
-    /// build a loopback. No handshake yet — the pool performs it so all
-    /// transports are version-checked identically.
-    fn connect(&self, op_timeout: Option<Duration>) -> Result<Box<dyn Transport>> {
-        match &self.kind {
-            EndpointKind::Tcp { addrs, primary } => Ok(Box::new(TcpTransport::connect(
-                &addrs[*primary],
-                op_timeout,
-            )?)),
-            EndpointKind::Loopback { mint } => Ok(Box::new(mint()?)),
-        }
+    /// Dial this endpoint's (one) address. No handshake yet — the pool
+    /// performs it so every connection is version-checked identically.
+    fn connect(&self, op_timeout: Option<Duration>) -> Result<TcpTransport> {
+        TcpTransport::connect(&self.addrs[self.primary], op_timeout)
     }
 }
 
 /// One pooled connection slot: the live transport (lazily connected;
 /// `None` after a transport failure until reconnect) plus its counters.
 struct Slot {
-    transport: Option<Box<dyn Transport>>,
+    transport: Option<TcpTransport>,
     stats: TransportStats,
 }
 

@@ -19,10 +19,14 @@
 //! connection ever opened, next to the request counter, the phase
 //! histograms and the hosted scheme's own metrics. The
 //! [`Instrumented`] cost counters stay the hosted scheme's alone.
+//!
+//! The socket is the only way in: `remote(…)` clients dial it from
+//! anywhere, and a `served(…)` client dials the server it binds on
+//! `127.0.0.1:0` in its own process.
 
 use std::io::{BufReader, BufWriter};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -34,60 +38,39 @@ use ltree_core::{
 };
 use ltree_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
-use crate::transport::LoopbackTransport;
 use crate::wire::{
     decode_request, encode_response_capped, io_err, read_frame, write_frame, Request, Response,
-    WireSplice, MAX_PAGE_ITEMS, PROTOCOL_VERSION,
+    WireSplice, MAX_PAGE_ITEMS, MAX_REPLY_HANDLES, PROTOCOL_VERSION,
 };
 
-/// Op/byte counters for one connection (or one client transport).
-///
-/// Ordering: every access is `Relaxed`. These are pure statistics —
-/// incremented on the serving thread, read by metric snapshots; no
-/// other memory is published under them, and a momentarily torn *view*
-/// across the three counters is acceptable in a live report. The
-/// atomic RMW still guarantees no increment is ever lost.
-#[derive(Debug, Default)]
-pub struct TransportCounters {
-    /// Requests served (server side) or round trips issued (client side).
-    pub ops: AtomicU64,
-    /// Bytes received, frame prefixes included.
-    pub bytes_in: AtomicU64,
-    /// Bytes sent, frame prefixes included.
-    pub bytes_out: AtomicU64,
+/// One connection's op/byte counters, taken from the server's
+/// registry as `net/conn<i>/{round-trips,bytes-in,bytes-out}`.
+struct ConnCounters {
+    round_trips: Arc<Counter>,
+    bytes_in: Arc<Counter>,
+    bytes_out: Arc<Counter>,
 }
 
-impl TransportCounters {
-    pub(crate) fn add(&self, ops: u64, bytes_in: u64, bytes_out: u64) {
-        // relaxed: independent statistics; no memory is published under them.
-        self.ops.fetch_add(ops, Ordering::Relaxed);
-        self.bytes_in.fetch_add(bytes_in, Ordering::Relaxed);
-        self.bytes_out.fetch_add(bytes_out, Ordering::Relaxed);
-    }
-}
-
-/// The server's own live instrumentation: the request counter, the
-/// active-connection gauge, the four per-request phase histograms
-/// (`net/phase/{decode,lock-wait,apply,encode}`, nanoseconds) and the
-/// op/byte counters of every connection ever opened. Shared by every
-/// connection thread and by loopback transports; a `Metrics` wire
-/// request (or [`Instrumented::metrics`] on the server) snapshots it
-/// together with the hosted scheme's own metrics.
-pub(crate) struct ServerMetrics {
+/// The server's own live instrumentation, all in one registry: the
+/// request counter, the active-connection gauge, the four per-request
+/// phase histograms (`net/phase/{decode,lock-wait,apply,encode}`,
+/// nanoseconds) and the op/byte counters of every connection ever
+/// opened. Shared by every connection thread; a `Metrics` wire request
+/// (or [`Instrumented::metrics`] on the server) snapshots it together
+/// with the hosted scheme's own metrics.
+struct ServerMetrics {
     registry: MetricsRegistry,
-    pub(crate) requests: Arc<Counter>,
-    pub(crate) active_conns: Arc<Gauge>,
-    pub(crate) decode: Arc<Histogram>,
-    pub(crate) lock_wait: Arc<Histogram>,
-    pub(crate) apply: Arc<Histogram>,
-    pub(crate) encode: Arc<Histogram>,
-    /// `(connection id, counters)`, in id order.
-    conns: Mutex<Vec<(usize, Arc<TransportCounters>)>>,
+    requests: Arc<Counter>,
+    active_conns: Arc<Gauge>,
+    decode: Arc<Histogram>,
+    lock_wait: Arc<Histogram>,
+    apply: Arc<Histogram>,
+    encode: Arc<Histogram>,
     next_conn_id: AtomicUsize,
 }
 
 impl ServerMetrics {
-    pub(crate) fn new() -> Arc<ServerMetrics> {
+    fn new() -> Arc<ServerMetrics> {
         let registry = MetricsRegistry::new();
         let requests = registry.counter("net/requests");
         let active_conns = registry.gauge("net/active-conns");
@@ -103,42 +86,22 @@ impl ServerMetrics {
             lock_wait,
             apply,
             encode,
-            conns: Mutex::new(Vec::new()),
             next_conn_id: AtomicUsize::new(0),
         })
     }
 
     /// Register a new connection and hand back its counters, reported
     /// as `net/conn<i>/...` from now on.
-    fn open_conn(&self) -> Arc<TransportCounters> {
+    fn open_conn(&self) -> ConnCounters {
         // Ordering: `Relaxed` — ids only need uniqueness, which the
         // atomic RMW guarantees on its own; nothing is published under
         // the counter.
         let id = self.next_conn_id.fetch_add(1, Ordering::Relaxed);
-        let counters = Arc::new(TransportCounters::default());
-        self.conns
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push((id, counters.clone()));
-        counters
-    }
-
-    fn snapshot(&self) -> Vec<Metric> {
-        let mut out = self.registry.snapshot();
-        let conns = self.conns.lock().unwrap_or_else(|p| p.into_inner());
-        for (id, c) in conns.iter() {
-            // relaxed: independent transport statistics; tearing across them is fine.
-            let ops = c.ops.load(Ordering::Relaxed);
-            let bytes_in = c.bytes_in.load(Ordering::Relaxed);
-            let bytes_out = c.bytes_out.load(Ordering::Relaxed);
-            out.push(Metric::counter(format!("net/conn{id}/round-trips"), ops));
-            out.push(Metric::counter(format!("net/conn{id}/bytes-in"), bytes_in));
-            out.push(Metric::counter(
-                format!("net/conn{id}/bytes-out"),
-                bytes_out,
-            ));
+        ConnCounters {
+            round_trips: self.registry.counter(&format!("net/conn{id}/round-trips")),
+            bytes_in: self.registry.counter(&format!("net/conn{id}/bytes-in")),
+            bytes_out: self.registry.counter(&format!("net/conn{id}/bytes-out")),
         }
-        out
     }
 }
 
@@ -151,14 +114,13 @@ fn full_metrics<'a>(
     metrics: &ServerMetrics,
     lock: impl FnOnce() -> RwLockReadGuard<'a, Box<dyn DynScheme>>,
 ) -> Vec<Metric> {
-    let mut out = metrics.snapshot();
+    let mut out = metrics.registry.snapshot();
     out.extend(lock().metrics());
     sort_metrics(&mut out);
     out
 }
 
-/// One accepted socket connection. In-process loopback connections
-/// have no socket (and no thread) to unblock, so they are not listed.
+/// One accepted socket connection.
 struct ConnReg {
     /// A clone of the connection's socket, kept so shutdown can unblock
     /// the thread's blocking read.
@@ -231,35 +193,6 @@ impl LabelServer {
         self.addr
     }
 
-    /// Open an in-process [`LoopbackTransport`] onto this server's
-    /// scheme. The transport counts as one connection (it gets its own
-    /// `net/conn<i>/...` counters) and takes the same `RwLock` the socket
-    /// connections take, but frames never leave the process.
-    pub fn loopback(&self) -> LoopbackTransport {
-        make_loopback(&self.scheme, &self.metrics, &self.stop)
-    }
-
-    /// A closure that mints loopback transports from the server
-    /// *internals* (so an [`Endpoint`](crate::pool::Endpoint) can
-    /// reconnect without borrowing the server value). Minting fails
-    /// once the server has shut down.
-    pub(crate) fn loopback_minter(
-        &self,
-    ) -> Box<dyn Fn() -> Result<LoopbackTransport> + Send + Sync> {
-        let scheme = self.scheme.clone();
-        let metrics = self.metrics.clone();
-        let stop = self.stop.clone();
-        Box::new(move || {
-            // seqcst: every stop-flag site shares one total order with shutdown's swap.
-            if stop.load(Ordering::SeqCst) {
-                return Err(LTreeError::Remote {
-                    context: "loopback: server is shut down".into(),
-                });
-            }
-            Ok(make_loopback(&scheme, &metrics, &stop))
-        })
-    }
-
     /// Bind `addr` and serve a [`crate::DurableScheme`] recovered from
     /// `dir` — the restart-from-disk constructor. `inner` must be a
     /// freshly built (empty) scheme of the same kind the directory's
@@ -280,8 +213,8 @@ impl LabelServer {
 
     /// Shut the server down and take the hosted scheme back out — the
     /// primitive behind "restart the server on the same state" (bind a
-    /// new [`LabelServer`] with the returned scheme). Fails when live
-    /// loopback transports still share the scheme.
+    /// new [`LabelServer`] with the returned scheme). Fails only if a
+    /// server thread still holds the scheme after shutdown joined them.
     pub fn into_scheme(mut self) -> Result<Box<dyn DynScheme>> {
         self.shutdown();
         let scheme = Arc::clone(&self.scheme);
@@ -289,9 +222,7 @@ impl LabelServer {
         match Arc::try_unwrap(scheme) {
             Ok(lock) => Ok(lock.into_inner().unwrap_or_else(|p| p.into_inner())),
             Err(_) => Err(LTreeError::Remote {
-                context: "cannot take the scheme out of the server: in-process (loopback) \
-                          clients still reference it"
-                    .into(),
+                context: "cannot take the scheme out of the server: it is still shared".into(),
             }),
         }
     }
@@ -307,12 +238,11 @@ impl LabelServer {
     /// prevents.
     pub fn shutdown(&mut self) {
         // Ordering: `SeqCst` swap — `stop` is a control flag consulted
-        // from the accept loop, every serving thread and the loopback
-        // minter; the swap also makes shutdown idempotent (exactly one
-        // caller sees `false`). The flag synchronizes nothing but
-        // itself, so `AcqRel` would do; `SeqCst` keeps every stop-flag
-        // site in one total order for free — this path runs once per
-        // server lifetime.
+        // from the accept loop and every serving thread; the swap also
+        // makes shutdown idempotent (exactly one caller sees `false`).
+        // The flag synchronizes nothing but itself, so `AcqRel` would
+        // do; `SeqCst` keeps every stop-flag site in one total order for
+        // free — this path runs once per server lifetime.
         // seqcst: one total order across every stop-flag site, at once-per-lifetime cost.
         if self.stop.swap(true, Ordering::SeqCst) {
             return;
@@ -370,21 +300,6 @@ impl Instrumented for LabelServer {
     }
 }
 
-/// Register one loopback connection and hand back its transport.
-fn make_loopback(
-    scheme: &SharedScheme,
-    metrics: &Arc<ServerMetrics>,
-    stop: &Arc<AtomicBool>,
-) -> LoopbackTransport {
-    LoopbackTransport {
-        scheme: scheme.clone(),
-        metrics: metrics.clone(),
-        stop: stop.clone(),
-        counters: metrics.open_conn(),
-        pending: std::collections::VecDeque::new(),
-    }
-}
-
 fn accept_loop(
     listener: TcpListener,
     scheme: SharedScheme,
@@ -430,7 +345,7 @@ fn serve_conn(
     stream: TcpStream,
     scheme: SharedScheme,
     metrics: Arc<ServerMetrics>,
-    counters: Arc<TransportCounters>,
+    counters: ConnCounters,
     stop: Arc<AtomicBool>,
 ) {
     let Ok(read_half) = stream.try_clone() else {
@@ -456,12 +371,37 @@ fn serve_conn(
         let t = Instant::now();
         let out = encode_response_capped(&resp);
         metrics.encode.record(t.elapsed().as_nanos() as u64);
-        match write_frame(&mut writer, &out) {
-            Ok(out_bytes) => counters.add(1, in_bytes, out_bytes),
-            Err(_) => break,
+        // Count before replying: once the client holds its answer, a
+        // scrape it sends on another connection must already see this
+        // request.
+        counters.round_trips.inc();
+        counters.bytes_in.add(in_bytes);
+        counters.bytes_out.add(4 + out.len() as u64);
+        if write_frame(&mut writer, &out).is_err() {
+            break;
         }
     }
     metrics.active_conns.add(-1);
+}
+
+/// Refuse an insert whose `Handles` reply could not be framed. Checked
+/// before the write lock is taken: applied, such an insert could only be
+/// answered with "re-read the result", and a count like `1 << 40` would
+/// exhaust the server's memory before that.
+fn reply_fits(req: &Request) -> Result<()> {
+    let count = match *req {
+        Request::BulkBuild(n) | Request::Splice(WireSplice::InsertAfter { count: n, .. }) => n,
+        _ => return Ok(()),
+    };
+    if count <= MAX_REPLY_HANDLES {
+        return Ok(());
+    }
+    Err(LTreeError::Remote {
+        context: format!(
+            "an insert of {count} items exceeds the {MAX_REPLY_HANDLES} handles one reply \
+             frame carries; nothing was applied"
+        ),
+    })
 }
 
 fn ok_or_err<T>(r: Result<T>, f: impl FnOnce(T) -> Response) -> Response {
@@ -471,7 +411,7 @@ fn ok_or_err<T>(r: Result<T>, f: impl FnOnce(T) -> Response) -> Response {
     }
 }
 
-pub(crate) fn handle_request(
+fn handle_request(
     scheme: &RwLock<Box<dyn DynScheme>>,
     metrics: &ServerMetrics,
     req: Request,
@@ -515,6 +455,9 @@ where
 {
     let read_lock = |_: &RwLock<Box<dyn DynScheme>>| rl();
     let write_lock = |_: &RwLock<Box<dyn DynScheme>>| wl();
+    if let Err(e) = reply_fits(&req) {
+        return Response::Err(e);
+    }
     match req {
         Request::Hello { version } => {
             if version == PROTOCOL_VERSION {

@@ -40,11 +40,17 @@ use ltree_core::{LTreeError, Result, SchemeStats};
 pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Hard cap on a single frame's payload: fits a bulk-build response of
-/// up to ~8.3 million handles, and fails fast on a corrupt length
-/// prefix. A server whose response would exceed it sends an error frame
-/// instead of the payload (the operation still applied; results remain
-/// readable through paged requests).
+/// up to [`MAX_REPLY_HANDLES`] handles, and fails fast on a corrupt
+/// length prefix. A server refuses a larger insert before running it;
+/// any other response that would exceed the cap becomes an error frame
+/// (see [`encode_response_capped`]).
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
+
+/// The most handles one [`Response::Handles`] frame carries: a tag byte,
+/// a `u32` count and 8 bytes per handle must fit [`MAX_FRAME_BYTES`]. A
+/// server refuses a larger [`Request::BulkBuild`] or insert splice before
+/// running it.
+pub const MAX_REPLY_HANDLES: u64 = ((MAX_FRAME_BYTES - 5) / 8) as u64;
 
 /// Upper bound a server imposes on [`Request::Page`] limits.
 pub const MAX_PAGE_ITEMS: u32 = 4096;
@@ -469,7 +475,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
 /// encoding would exceed [`MAX_FRAME_BYTES`]. The operation has already
 /// been applied by then — dropping the connection would hide that — so
 /// the error frame tells the client to re-read the result in pages.
-/// Shared by every server-side transport (socket and loopback alike).
 pub fn encode_response_capped(resp: &Response) -> Vec<u8> {
     let out = encode_response(resp);
     if out.len() <= MAX_FRAME_BYTES {

@@ -138,7 +138,7 @@ pub mod rel {
 /// | `gap` | fixed-gap midpoints | `(gap)` |
 /// | `list-label` | even redistribution | `(bits)` or `(bits,tau)` |
 /// | `sharded` | segment-partitioned composite | `(inner)`, `(n,inner)`, or `(n,split,merge,inner)` |
-/// | `served` | in-process loopback server + remote client | `(inner[,options])` |
+/// | `served` | in-process server on `127.0.0.1:0` + remote client over TCP | `(inner[,options])` |
 /// | `remote` | client for external label server(s) | `(addrs[,options])` |
 /// | `durable` | write-ahead logged, snapshot-checkpointed wrapper | `(inner[,dir=PATH,sync=always\|never,checkpoint_every=N])` |
 /// | `checked` | contract auditor over any scheme | `(inner[,every=N])` |
@@ -147,7 +147,7 @@ pub mod rel {
 /// `sharded`, `served`, `durable`, `checked` and `traced` compose: their inner
 /// argument is any spec this registry resolves, recursively —
 /// `sharded(4,ltree(4,2))`, `served(gap)`, `sharded(4,served(ltree))`
-/// (each segment behind its own loopback server),
+/// (each segment behind its own in-process server),
 /// `sharded(2,checked(gap))` (every segment audited against its own
 /// shadow model), `served(durable(ltree(4,2),dir=…))` (a crash-safe
 /// label server), `checked(durable(gap))` (the auditor proving the
@@ -210,7 +210,7 @@ pub mod prelude {
     pub use ltree_obs::{render_prometheus, MetricsRegistry, TracedScheme};
     pub use ltree_remote::{
         ClientPolicy, DurableOptions, DurableScheme, Endpoint, LabelServer, RemoteScheme,
-        ServerGroup, SyncPolicy, Transport, TransportStats,
+        ServerGroup, SyncPolicy, TransportStats,
     };
     pub use ltree_sharded::{ShardedConfig, ShardedScheme};
     pub use ltree_tuning::{optimize_cost, optimize_cost_with_bits, optimize_workload};
@@ -245,7 +245,7 @@ mod tests {
         let mut s = Scheme::build("sharded(2,virtual(4,2))").unwrap();
         assert_eq!(s.bulk_build(10).unwrap().len(), 10);
         // The networked composites nest the same way: every segment of
-        // the sharded store talks to its own loopback server.
+        // the sharded store talks to its own in-process server over TCP.
         let mut s = Scheme::build("sharded(2,served(ltree(4,2)))").unwrap();
         assert_eq!(s.bulk_build(10).unwrap().len(), 10);
         assert_eq!(s.cursor().count(), 10);

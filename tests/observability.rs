@@ -194,3 +194,61 @@ fn sharded_merges_served_transport_counters() {
     let names: Vec<String> = s.stats_breakdown().into_iter().map(|(n, _)| n).collect();
     assert_eq!(names, ["shard0", "shard1"]);
 }
+
+/// Σ `net/conn<i>/round-trips` over a scrape: every request the server
+/// has answered, on any connection.
+fn served_round_trips(ms: &[Metric]) -> u64 {
+    ms.iter()
+        .filter(|m| m.name.starts_with("net/conn") && m.name.ends_with("/round-trips"))
+        .map(|m| match m.value {
+            MetricValue::Counter(v) => v,
+            ref other => panic!("{} should be a counter, got {other:?}", m.name),
+        })
+        .sum()
+}
+
+/// A server counts a request before it writes the reply. Otherwise a
+/// client that holds its answer can scrape on another pooled connection
+/// before the serving thread has counted, and the scrape comes up short
+/// of the client's own round-trip count.
+#[test]
+fn a_scrape_counts_every_request_already_answered() {
+    let server = LabelServer::bind(
+        "127.0.0.1:0",
+        default_registry().build("ltree(4,2)").unwrap(),
+    )
+    .unwrap();
+    let policy = ClientPolicy {
+        conns: 2,
+        ..ClientPolicy::default()
+    };
+    let mut client = RemoteScheme::connect_with(&server.local_addr().to_string(), policy).unwrap();
+    client.bulk_build(16).unwrap();
+    for round in 0..500 {
+        client.live_len();
+        let answered = client.transport_stats().round_trips;
+        let scraped = served_round_trips(&client.metrics());
+        assert_eq!(
+            scraped, answered,
+            "round {round}: the scrape missed a request its client already holds the answer to"
+        );
+    }
+}
+
+/// `served(…)` reaches its server through the socket, like `remote(…)`:
+/// every pooled connection is a served connection.
+#[test]
+fn served_connections_are_server_connections() {
+    let s = default_registry()
+        .build("served(ltree(4,2),conns=3)")
+        .unwrap();
+    let ms = s.metrics();
+    match ms
+        .iter()
+        .find(|m| m.name == "net/active-conns")
+        .map(|m| &m.value)
+    {
+        Some(MetricValue::Gauge(n)) => assert_eq!(*n, 3, "one per pooled connection"),
+        other => panic!("net/active-conns should be a gauge, got {other:?}"),
+    }
+}

@@ -1,8 +1,8 @@
 //! End-to-end coverage for the networked label store: a real
 //! `Document` over a served scheme, and the batch-amortization claim —
 //! bulk loads and splices cost a constant number of round trips, not
-//! one per item. Everything runs against in-process loopback servers
-//! (`served(...)` specs), so no external process is involved.
+//! one per item. Everything runs against in-process servers dialed over
+//! TCP (`served(...)` specs), so no external process is involved.
 
 use ltree::gen::{book_catalog_profile, generate};
 use ltree::prelude::*;
@@ -183,7 +183,7 @@ fn document_over_coalescing_pooled_client_matches_local() {
 }
 
 /// The payoff composition: `sharded(n, served(inner))` routes each
-/// segment's splices to its own loopback server through the existing
+/// segment's splices to its own in-process server through the existing
 /// segment directory — a `Document` neither knows nor cares.
 #[test]
 fn document_over_sharded_served_segments() {

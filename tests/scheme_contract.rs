@@ -27,7 +27,8 @@ use ltree::SchemeStats;
 /// stress different shapes (wide L-Tree, minimal gap, sharded composites
 /// with thresholds low enough that the contract streams force segment
 /// splits and merges, and served composites that put a real TCP
-/// client/server pair — loopback, in-process — under every stream).
+/// client/server pair — an in-process server on 127.0.0.1 — under every
+/// stream).
 const SPECS: &[&str] = &[
     "ltree(4,2)",
     "ltree(32,4)",
