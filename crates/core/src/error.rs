@@ -33,6 +33,13 @@ pub enum LTreeError {
     NotEmpty,
     /// The requested batch size was zero.
     EmptyBatch,
+    /// A batch would take the structure past the number of items its
+    /// storage can index, or its memory could not be reserved. Reported
+    /// before anything is allocated; the structure is unchanged.
+    CapacityExceeded {
+        /// The batch size that was asked for.
+        requested: u64,
+    },
     /// A scheme name was not found in the [`crate::registry::SchemeRegistry`].
     UnknownScheme {
         /// The name that failed to resolve.
@@ -112,6 +119,10 @@ impl std::fmt::Display for LTreeError {
             LTreeError::EmptyTree => write!(f, "operation requires a non-empty structure"),
             LTreeError::NotEmpty => write!(f, "bulk_build requires an empty structure"),
             LTreeError::EmptyBatch => write!(f, "batch insertion of zero leaves is not meaningful"),
+            LTreeError::CapacityExceeded { requested } => write!(
+                f,
+                "a batch of {requested} items exceeds the structure's capacity; nothing was inserted"
+            ),
             LTreeError::UnknownScheme { name } => {
                 write!(
                     f,

@@ -66,14 +66,12 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod arena;
 pub mod cost_model;
 pub mod error;
 pub mod invariants;
 pub mod label;
 pub mod layout;
 pub mod metrics;
-pub mod node;
 pub mod order;
 pub mod params;
 pub mod registry;
@@ -81,6 +79,7 @@ pub mod rng;
 pub mod scheme;
 pub mod snapshot;
 pub mod stats;
+mod store;
 pub mod tree;
 
 pub use error::{LTreeError, Result};

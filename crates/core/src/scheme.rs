@@ -681,10 +681,10 @@ impl<T: Instrumented + ?Sized> Instrumented for Box<T> {
 // The materialized L-Tree as a labeling scheme
 // ----------------------------------------------------------------------
 
-/// Each [`next_in_order`](OrderedLabeling::next_in_order) step re-walks
-/// the root path (`O(f·h)` node touches), so a full-list cursor walk
-/// costs `O(n·f·h)`; callers holding a concrete `LTree` should prefer
-/// [`crate::LTree::leaves`], a single `O(n)` DFS, for whole-list scans.
+/// Each [`next_in_order`](OrderedLabeling::next_in_order) step follows
+/// one sibling link, climbing toward the root only past the last child
+/// of a node, so a full-list cursor walk costs `O(n)` amortized — the
+/// same walk [`crate::LTree::leaves`] makes, minus the handle decoding.
 impl OrderedLabeling for crate::LTree {
     fn name(&self) -> &'static str {
         "ltree"

@@ -15,42 +15,53 @@
 //! * [`LTree::delete`] — Section 2.3: tombstone, never relabels.
 //! * [`LTree::compact`] — an extension beyond the paper: rebuilds the tree
 //!   without tombstones, preserving all live [`LeafId`]s.
+//!
+//! Nodes live in two pools of fixed-size records joined by
+//! first-child/next-sibling links (see `store`): a 32-B leaf record
+//! and a 48-B interior record, with no per-node allocation.
 
 use std::cmp::Ordering;
 
-use crate::arena::{Arena, NodeId};
 use crate::error::{LTreeError, Result};
 use crate::invariants::{self, InvariantError};
 use crate::label::Label;
 use crate::layout::{ceil_div, even_split, RootRebuild};
-use crate::node::{Node, NodeData};
 use crate::params::Params;
 use crate::snapshot::StructureEvent;
 use crate::stats::Stats;
+use crate::store::{InteriorRec, LeafRec, Store, MAX_LEAVES, NIL};
 
 /// Stable identifier of a leaf (one document tag). Valid for the lifetime
 /// of the tree: splits rebuild interior nodes but never touch leaves, and
 /// [`LTree::compact`] preserves live leaves as well.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct LeafId(pub(crate) NodeId);
+pub struct LeafId {
+    /// Leaf record index.
+    pub(crate) idx: u32,
+    /// The record's generation when this id was issued.
+    pub(crate) gen: u32,
+}
 
 impl LeafId {
-    /// Pack into a `u64` (for the generic [`crate::LeafHandle`]).
+    /// Pack into a `u64` (for the generic [`crate::LeafHandle`]):
+    /// `(index + 1) << 32 | generation`, so 0 is never a valid handle.
     pub fn to_u64(self) -> u64 {
-        self.0.to_u64()
+        ((u64::from(self.idx) + 1) << 32) | u64::from(self.gen)
     }
 
-    /// Unpack from a `u64`.
+    /// Unpack from a `u64`; `None` if the index half is zero.
     pub fn from_u64(v: u64) -> Option<Self> {
-        NodeId::from_u64(v).map(LeafId)
+        let idx = ((v >> 32) as u32).checked_sub(1)?;
+        Some(LeafId { idx, gen: v as u32 })
     }
 }
 
 /// The materialized L-Tree. See the [module docs](self).
 pub struct LTree {
     params: Params,
-    arena: Arena,
-    root: NodeId,
+    store: Store,
+    /// Interior record of the root.
+    root: u32,
     height: u8,
     /// Total leaves, tombstones included.
     n_leaves: u64,
@@ -66,11 +77,11 @@ impl LTree {
 
     /// An empty L-Tree (a height-1 root with no leaves yet).
     pub fn new(params: Params) -> Self {
-        let mut arena = Arena::new();
-        let root = arena.alloc(Node::new_internal(None, 1));
+        let mut store = Store::new();
+        let root = store.alloc_node(1);
         LTree {
             params,
-            arena,
+            store,
             root,
             height: 1,
             n_leaves: 0,
@@ -96,15 +107,16 @@ impl LTree {
             return Ok(Vec::new());
         }
         let n64 = n as u64;
+        let mut ids = self.reserve_leaves(n)?;
         let height = self.params.height_for(n64);
         if height > self.params.max_height() {
             return Err(LTreeError::LabelOverflow { height });
         }
-        let leaves: Vec<NodeId> = (0..n)
-            .map(|_| self.arena.alloc(Node::new_leaf(None)))
-            .collect();
-        // Replace the empty placeholder root.
-        self.arena.free(self.root);
+        // Replace the empty placeholder root; the leaves get their parent
+        // links when `build_complete` adopts them.
+        self.store.free_node(self.root);
+        ids.extend((0..n).map(|_| self.store.alloc_leaf(NIL)));
+        let leaves: Vec<u32> = ids.iter().map(|id| id.idx).collect();
         let root = self.build_complete(height, &leaves);
         self.root = root;
         self.height = height;
@@ -114,7 +126,26 @@ impl LTree {
         // Bulk loading is not an update: it should not pollute the
         // amortized-cost counters the experiments read.
         self.stats.reset();
-        Ok(leaves.into_iter().map(LeafId).collect())
+        Ok(ids)
+    }
+
+    /// Room for `k` more leaves, or [`LTreeError::CapacityExceeded`]
+    /// before anything changes: the total must fit the `u32` record index
+    /// space, and the record pool and the returned id vector (empty, with
+    /// capacity `k`) are reserved up front.
+    fn reserve_leaves(&mut self, k: usize) -> Result<Vec<LeafId>> {
+        let requested = k as u64;
+        let exceeded = LTreeError::CapacityExceeded { requested };
+        let total = match self.n_leaves.checked_add(requested) {
+            Some(total) if total <= MAX_LEAVES => total as usize,
+            _ => return Err(exceeded),
+        };
+        let pool = &mut self.store.leaves;
+        let mut ids = Vec::new();
+        pool.try_reserve(total.saturating_sub(pool.len()))
+            .and_then(|()| ids.try_reserve_exact(k))
+            .map_err(|_| exceeded)?;
+        Ok(ids)
     }
 
     // ------------------------------------------------------------------
@@ -158,18 +189,17 @@ impl LTree {
 
     /// The label of a leaf — `O(1)`, "for free" in the paper's cost model.
     pub fn label(&self, leaf: LeafId) -> Result<Label> {
-        let node = self.leaf_node(leaf)?;
-        Ok(Label::new(node.num))
+        Ok(Label::new(self.leaf_rec(leaf)?.label))
     }
 
     /// Whether the leaf is tombstoned.
     pub fn is_deleted(&self, leaf: LeafId) -> Result<bool> {
-        Ok(self.leaf_node(leaf)?.is_deleted())
+        Ok(self.leaf_rec(leaf)?.is_deleted())
     }
 
-    /// True if `leaf` refers to a live slot of this tree.
+    /// True if `leaf` refers to a live leaf record of this tree.
     pub fn contains(&self, leaf: LeafId) -> bool {
-        self.arena.get(leaf.0).map(Node::is_leaf).unwrap_or(false)
+        self.store.live_leaf(leaf).is_some()
     }
 
     /// Compare two leaves in document order via their labels.
@@ -191,17 +221,15 @@ impl LTree {
         self.last_leaf().and_then(|l| self.label(l).ok())
     }
 
-    /// Approximate heap usage in bytes (space side of experiment X9).
+    /// Heap usage in bytes (space side of experiment X9): the tree itself
+    /// plus the capacity of both record pools. `O(1)`.
     pub fn memory_bytes(&self) -> usize {
-        std::mem::size_of::<Self>() + self.arena.memory_bytes()
+        std::mem::size_of::<Self>() + self.store.memory_bytes()
     }
 
     /// First leaf in document order.
     pub fn first_leaf(&self) -> Option<LeafId> {
-        if self.is_empty() {
-            return None;
-        }
-        Some(LeafId(self.descend(self.root, false)))
+        self.first_leaf_rec().map(|idx| self.store.leaf_id(idx))
     }
 
     /// Last leaf in document order.
@@ -209,58 +237,48 @@ impl LTree {
         if self.is_empty() {
             return None;
         }
-        Some(LeafId(self.descend(self.root, true)))
+        Some(
+            self.store
+                .leaf_id(self.descend(self.root, self.height, true)),
+        )
     }
 
-    /// Successor leaf in document order (tombstones included).
+    /// Successor leaf in document order (tombstones included): one link
+    /// unless `leaf` is the last child of its parent.
     pub fn next_leaf(&self, leaf: LeafId) -> Result<Option<LeafId>> {
-        self.leaf_node(leaf)?;
-        let mut u = leaf.0;
-        loop {
-            let Some(parent) = self.arena.node(u).parent else {
-                return Ok(None);
-            };
-            let idx = self.index_of_child(parent, u);
-            let siblings = self.arena.node(parent).children();
-            if idx + 1 < siblings.len() {
-                let next = siblings[idx + 1];
-                return Ok(Some(LeafId(self.descend(next, false))));
-            }
-            u = parent;
-        }
+        self.leaf_rec(leaf)?;
+        Ok(self.successor(leaf.idx).map(|idx| self.store.leaf_id(idx)))
     }
 
     /// Predecessor leaf in document order (tombstones included).
     pub fn prev_leaf(&self, leaf: LeafId) -> Result<Option<LeafId>> {
-        self.leaf_node(leaf)?;
-        let mut u = leaf.0;
+        self.leaf_rec(leaf)?;
+        let (mut id, mut h) = (leaf.idx, 0u8);
         loop {
-            let Some(parent) = self.arena.node(u).parent else {
+            let parent = self.store.parent(id, h);
+            if parent == NIL {
                 return Ok(None);
-            };
-            let idx = self.index_of_child(parent, u);
-            if idx > 0 {
-                let prev = self.arena.node(parent).children()[idx - 1];
-                return Ok(Some(LeafId(self.descend(prev, true))));
             }
-            u = parent;
+            let prev = self.prev_sibling(parent, id);
+            if prev != NIL {
+                return Ok(Some(self.store.leaf_id(self.descend(prev, h, true))));
+            }
+            (id, h) = (parent, h + 1);
         }
     }
 
     /// Iterate all leaves in document order (tombstones included).
     pub fn leaves(&self) -> Leaves<'_> {
-        let stack = if self.is_empty() {
-            Vec::new()
-        } else {
-            vec![self.root]
-        };
-        Leaves { tree: self, stack }
+        Leaves {
+            tree: self,
+            next: self.first_leaf_rec().unwrap_or(NIL),
+        }
     }
 
     /// Iterate live leaves in document order.
     pub fn live_leaves(&self) -> impl Iterator<Item = LeafId> + '_ {
         self.leaves()
-            .filter(|&l| !self.arena.node(l.0).is_deleted())
+            .filter(|&l| !self.store.leaf(l.idx).is_deleted())
     }
 
     /// Run the full structural checker (used pervasively by tests).
@@ -274,35 +292,27 @@ impl LTree {
 
     /// Insert a new leaf immediately after `anchor`.
     pub fn insert_after(&mut self, anchor: LeafId) -> Result<LeafId> {
-        let (parent, idx) = self.locate(anchor)?;
+        let parent = self.leaf_rec(anchor)?.parent;
         self.stats.inserts += 1;
-        let ids = self.insert_leaves_at(parent, idx + 1, 1)?;
+        let ids = self.insert_leaves_at(parent, anchor.idx, 1)?;
         Ok(ids[0])
     }
 
     /// Insert a new leaf immediately before `anchor`.
     pub fn insert_before(&mut self, anchor: LeafId) -> Result<LeafId> {
-        let (parent, idx) = self.locate(anchor)?;
+        let parent = self.leaf_rec(anchor)?.parent;
+        let prev = self.prev_sibling(parent, anchor.idx);
         self.stats.inserts += 1;
-        let ids = self.insert_leaves_at(parent, idx, 1)?;
+        let ids = self.insert_leaves_at(parent, prev, 1)?;
         Ok(ids[0])
     }
 
     /// Insert a new first leaf (works on an empty tree).
     pub fn insert_first(&mut self) -> Result<LeafId> {
         self.stats.inserts += 1;
-        match self.first_leaf() {
-            Some(first) => {
-                let (parent, idx) = self.locate(first)?;
-                let ids = self.insert_leaves_at(parent, idx, 1)?;
-                Ok(ids[0])
-            }
-            None => {
-                let root = self.root;
-                let ids = self.insert_leaves_at(root, 0, 1)?;
-                Ok(ids[0])
-            }
-        }
+        let parent = self.first_leaf_parent();
+        let ids = self.insert_leaves_at(parent, NIL, 1)?;
+        Ok(ids[0])
     }
 
     /// Append a leaf after the current last leaf (works on an empty tree).
@@ -315,67 +325,51 @@ impl LTree {
 
     /// Batch insertion (paper, Section 4.1): insert `k` consecutive leaves
     /// immediately after `anchor`, paying the path/update costs once.
-    /// Returns the new leaves in document order.
+    /// Returns the new leaves in document order. A batch too large for
+    /// the tree's `u32` index space is [`LTreeError::CapacityExceeded`],
+    /// reported before anything is allocated.
     pub fn insert_many_after(&mut self, anchor: LeafId, k: usize) -> Result<Vec<LeafId>> {
-        let (parent, idx) = self.locate(anchor)?;
+        let parent = self.leaf_rec(anchor)?.parent;
         self.stats.batch_inserts += 1;
-        self.insert_leaves_at(parent, idx + 1, k)
+        self.insert_leaves_at(parent, anchor.idx, k)
     }
 
     /// Batch twin of [`insert_first`](LTree::insert_first).
     pub fn insert_many_first(&mut self, k: usize) -> Result<Vec<LeafId>> {
         self.stats.batch_inserts += 1;
-        match self.first_leaf() {
-            Some(first) => {
-                let (parent, idx) = self.locate(first)?;
-                self.insert_leaves_at(parent, idx, k)
-            }
-            None => {
-                let root = self.root;
-                self.insert_leaves_at(root, 0, k)
-            }
-        }
+        let parent = self.first_leaf_parent();
+        self.insert_leaves_at(parent, NIL, k)
     }
 
     /// Tombstone a leaf (paper, Section 2.3: "for deletions we can just
     /// mark as deleted the corresponding leaves … without any relabeling").
     pub fn delete(&mut self, leaf: LeafId) -> Result<()> {
-        let node = self
-            .arena
-            .get_mut(leaf.0)
-            .ok_or(LTreeError::UnknownHandle)?;
-        match &mut node.data {
-            NodeData::Leaf { deleted } => {
-                if *deleted {
-                    return Err(LTreeError::DeletedLeaf);
-                }
-                *deleted = true;
-                self.n_live -= 1;
-                self.stats.deletes += 1;
-                Ok(())
-            }
-            NodeData::Internal { .. } => Err(LTreeError::UnknownHandle),
+        if self.leaf_rec(leaf)?.is_deleted() {
+            return Err(LTreeError::DeletedLeaf);
         }
+        self.store.leaf_mut(leaf.idx).set_deleted();
+        self.n_live -= 1;
+        self.stats.deletes += 1;
+        Ok(())
     }
 
     /// Extension (beyond the paper): rebuild the tree without tombstones,
     /// as if the live leaves had been bulk loaded. All live [`LeafId`]s
     /// remain valid; tombstoned ids become stale.
     pub fn compact(&mut self) -> Result<()> {
-        let all: Vec<NodeId> = self.leaves().map(|l| l.0).collect();
-        // Free the interior first (it still references every leaf), then
-        // drop the tombstones, keeping live leaves untouched.
-        self.free_internals(self.root);
+        // Free the interior, then drop the tombstones, keeping live
+        // leaves (and so their ids) untouched.
+        let (all, _) = self.dismantle(self.root);
         let mut keep = Vec::with_capacity(self.n_live as usize);
-        for id in all {
-            if self.arena.node(id).is_deleted() {
-                self.arena.free(id);
+        for idx in all {
+            if self.store.leaf(idx).is_deleted() {
+                self.store.free_leaf(idx);
             } else {
-                keep.push(id);
+                keep.push(idx);
             }
         }
         if keep.is_empty() {
-            self.root = self.arena.alloc(Node::new_internal(None, 1));
+            self.root = self.store.alloc_node(1);
             self.height = 1;
             self.n_leaves = 0;
             return Ok(());
@@ -397,55 +391,85 @@ impl LTree {
     // Internals
     // ------------------------------------------------------------------
 
-    fn leaf_node(&self, leaf: LeafId) -> Result<&Node> {
-        match self.arena.get(leaf.0) {
-            Some(node) if node.is_leaf() => Ok(node),
-            _ => Err(LTreeError::UnknownHandle),
+    fn leaf_rec(&self, leaf: LeafId) -> Result<&LeafRec> {
+        self.store.live_leaf(leaf).ok_or(LTreeError::UnknownHandle)
+    }
+
+    fn first_leaf_rec(&self) -> Option<u32> {
+        (!self.is_empty()).then(|| self.descend(self.root, self.height, false))
+    }
+
+    /// The height-1 record a new first leaf goes under: the first leaf's
+    /// parent, or the root of an empty tree.
+    fn first_leaf_parent(&self) -> u32 {
+        match self.first_leaf_rec() {
+            Some(first) => self.store.leaf(first).parent,
+            None => self.root,
         }
     }
 
-    /// Parent and child-index of a leaf.
-    fn locate(&self, leaf: LeafId) -> Result<(NodeId, usize)> {
-        let node = self.leaf_node(leaf)?;
-        let parent = node.parent.expect("leaves always have a parent");
-        Ok((parent, self.index_of_child(parent, leaf.0)))
+    /// The sibling before `child` under `parent` ([`NIL`] if `child` is
+    /// first): an `O(f)` scan of the child list.
+    fn prev_sibling(&self, parent: u32, child: u32) -> u32 {
+        let node = self.store.node(parent);
+        let child_h = node.height - 1;
+        let (mut prev, mut c) = (NIL, node.first);
+        while c != child {
+            assert!(c != NIL, "child must be present under its parent");
+            (prev, c) = (c, self.store.next(c, child_h));
+        }
+        prev
     }
 
-    fn index_of_child(&self, parent: NodeId, child: NodeId) -> usize {
-        self.arena
-            .node(parent)
-            .children()
-            .iter()
-            .position(|&c| c == child)
-            .expect("child must be present under its parent")
-    }
-
-    /// Descend to the leftmost (`rightmost = false`) or rightmost leaf.
-    fn descend(&self, mut u: NodeId, rightmost: bool) -> NodeId {
-        loop {
-            let node = self.arena.node(u);
-            match &node.data {
-                NodeData::Leaf { .. } => return u,
-                NodeData::Internal { children, .. } => {
-                    u = if rightmost {
-                        *children.last().expect("non-empty interior")
-                    } else {
-                        children[0]
-                    };
+    /// Descend from record `u` at height `h` to its leftmost
+    /// (`rightmost = false`) or rightmost leaf record.
+    fn descend(&self, mut u: u32, mut h: u8, rightmost: bool) -> u32 {
+        while h > 0 {
+            u = self.store.node(u).first;
+            h -= 1;
+            if rightmost {
+                while self.store.next(u, h) != NIL {
+                    u = self.store.next(u, h);
                 }
             }
         }
+        u
+    }
+
+    /// The next sibling of record `u` at height `h`, or of its nearest
+    /// ancestor that has one: where a pre-order walk resumes once `u`'s
+    /// subtree is done.
+    fn next_subtree(&self, mut u: u32, mut h: u8) -> Option<(u32, u8)> {
+        loop {
+            let next = self.store.next(u, h);
+            if next != NIL {
+                return Some((next, h));
+            }
+            u = self.store.parent(u, h);
+            if u == NIL {
+                return None;
+            }
+            h += 1;
+        }
+    }
+
+    /// The leaf record after leaf record `idx` in document order.
+    fn successor(&self, idx: u32) -> Option<u32> {
+        self.next_subtree(idx, 0)
+            .map(|(u, h)| self.descend(u, h, false))
     }
 
     /// The insertion core shared by every insert flavour (Algorithm 1 of
-    /// the paper, generalized to `k ≥ 1`).
-    fn insert_leaves_at(&mut self, parent: NodeId, pos: usize, k: usize) -> Result<Vec<LeafId>> {
+    /// the paper, generalized to `k ≥ 1`): `k` leaves go under the
+    /// height-1 record `parent`, after leaf record `prev` ([`NIL`] = first).
+    fn insert_leaves_at(&mut self, parent: u32, prev: u32, k: usize) -> Result<Vec<LeafId>> {
         if k == 0 {
             return Err(LTreeError::EmptyBatch);
         }
+        let mut ids = self.reserve_leaves(k)?;
         let k64 = k as u64;
         debug_assert_eq!(
-            self.arena.node(parent).height,
+            self.store.node(parent).height,
             1,
             "leaves are inserted under height-1 nodes"
         );
@@ -454,20 +478,16 @@ impl LTree {
         // would reach its split threshold (the paper's "highest ancestor t
         // with L(t) = s (f/s)^h"). No mutation yet.
         let mut path = Vec::with_capacity(usize::from(self.height));
-        let mut u = Some(parent);
-        while let Some(id) = u {
-            path.push(id);
-            u = self.arena.node(id).parent;
+        let mut u = parent;
+        while u != NIL {
+            path.push(u);
+            u = self.store.node(u).parent;
         }
         self.stats.count_updates += path.len() as u64;
-        let mut violator: Option<NodeId> = None;
-        for &id in path.iter().rev() {
-            let node = self.arena.node(id);
-            if node.leaf_count() + k64 >= self.params.split_threshold(node.height) {
-                violator = Some(id);
-                break;
-            }
-        }
+        let violator = path.iter().rev().copied().find(|&id| {
+            let node = self.store.node(id);
+            node.leaf_count + k64 >= self.params.split_threshold(node.height)
+        });
 
         // Label-space pre-check before mutating anything.
         if violator == Some(self.root) {
@@ -479,18 +499,27 @@ impl LTree {
             }
         }
 
-        // Mutate: splice the new leaves in, bump counts along the path.
-        let new_leaves: Vec<NodeId> = (0..k)
-            .map(|_| self.arena.alloc(Node::new_leaf(Some(parent))))
-            .collect();
-        self.arena
-            .node_mut(parent)
-            .children_mut()
-            .splice(pos..pos, new_leaves.iter().copied());
-        for &id in &path {
-            if let NodeData::Internal { leaf_count, .. } = &mut self.arena.node_mut(id).data {
-                *leaf_count += k64;
+        // Mutate: splice the new leaves in after `prev`, bump counts
+        // along the path.
+        let succ = match prev {
+            NIL => self.store.node(parent).first,
+            _ => self.store.leaf(prev).next,
+        };
+        let mut last = prev;
+        for _ in 0..k {
+            let id = self.store.alloc_leaf(parent);
+            match last {
+                NIL => self.store.node_mut(parent).first = id.idx,
+                _ => self.store.leaf_mut(last).next = id.idx,
             }
+            last = id.idx;
+            ids.push(id);
+        }
+        self.store.leaf_mut(last).next = succ;
+        // `k` fits: the reservation bounded the whole tree by `u32` indices.
+        self.store.node_mut(parent).fanout += k as u32;
+        for &id in &path {
+            self.store.node_mut(id).leaf_count += k64;
         }
         self.n_leaves += k64;
         self.n_live += k64;
@@ -500,55 +529,61 @@ impl LTree {
             None => {
                 // No split: relabel the new leaves and their right
                 // siblings by child index (labels `num(parent) + j`).
-                self.relabel_suffix(parent, pos);
+                self.relabel_suffix(parent, prev);
             }
-            Some(first) => {
-                let mut t = first;
-                let mut cascaded = false;
-                loop {
-                    if t == self.root {
-                        self.rebuild_root()?;
-                        break;
-                    }
-                    let up = self.arena.node(t).parent.expect("non-root has a parent");
-                    self.split_node(t)?;
-                    let pn = self.arena.node(up);
-                    let overflow = pn.children().len() > self.params.f() as usize;
-                    debug_assert!(
-                        pn.leaf_count() < self.params.split_threshold(pn.height) || up == self.root,
-                        "t was the highest leaf-count violator"
-                    );
-                    if overflow {
-                        // Only reachable through batch insertions: the
-                        // split emitted more pieces than the parent had
-                        // slack for (paper Prop. 3 guarantees this never
-                        // happens for k = 1; the tests assert it).
-                        self.stats.cascade_splits += 1;
-                        cascaded = true;
-                        t = up;
-                        continue;
-                    }
-                    let base = self.arena.node(up).num;
-                    self.relabel_subtree(up, base)?;
+            Some(mut t) => loop {
+                if t == self.root {
+                    self.rebuild_root()?;
                     break;
                 }
-                let _ = cascaded;
-            }
+                let up = self.store.node(t).parent;
+                self.split_node(t)?;
+                let pn = self.store.node(up);
+                debug_assert!(
+                    pn.leaf_count < self.params.split_threshold(pn.height) || up == self.root,
+                    "t was the highest leaf-count violator"
+                );
+                if pn.fanout > self.params.f() {
+                    // Only reachable through batch insertions: the split
+                    // emitted more pieces than the parent had slack for
+                    // (paper Prop. 3 guarantees this never happens for
+                    // k = 1; the tests assert it).
+                    self.stats.cascade_splits += 1;
+                    t = up;
+                    continue;
+                }
+                let base = pn.num;
+                self.relabel_subtree(up, base)?;
+                break;
+            },
         }
-        Ok(new_leaves.into_iter().map(LeafId).collect())
+        Ok(ids)
     }
 
-    /// Relabel `children[pos..]` of a height-1 node by child index.
-    fn relabel_suffix(&mut self, parent: NodeId, pos: usize) {
-        let base = self.arena.node(parent).num;
-        let children: Vec<NodeId> = self.arena.node(parent).children()[pos..].to_vec();
+    /// Relabel the leaves after `prev` under the height-1 record `parent`
+    /// (all of them when `prev` is [`NIL`]) by child index: child `j`
+    /// gets `num(parent) + j`, and `prev`'s label already is
+    /// `num(parent) + j - 1`.
+    fn relabel_suffix(&mut self, parent: u32, prev: u32) {
+        let (mut num, mut c) = match prev {
+            NIL => {
+                let node = self.store.node(parent);
+                (node.num, node.first)
+            }
+            _ => {
+                let leaf = self.store.leaf(prev);
+                (leaf.label + 1, leaf.next)
+            }
+        };
         let mut written = 0u64;
-        for (offset, child) in children.into_iter().enumerate() {
-            let node = self.arena.node_mut(child);
-            node.num = base + (pos + offset) as u128;
+        while c != NIL {
+            let leaf = self.store.leaf_mut(c);
+            leaf.label = num;
+            c = leaf.next;
+            num += 1;
             written += 1;
-            self.stats.leaf_label_writes += 1;
         }
+        self.stats.leaf_label_writes += written;
         self.stats.relabel_events += 1;
         self.stats.nodes_relabeled += written;
         self.stats.max_relabeled_in_one_op = self.stats.max_relabeled_in_one_op.max(written);
@@ -557,31 +592,36 @@ impl LTree {
     /// Split node `t` into `ceil(L / a^h)` near-equal leftmost-complete
     /// pieces spliced in its place (paper Section 2.3 for the exact
     /// single-insert case where this is `s` complete trees).
-    fn split_node(&mut self, t: NodeId) -> Result<()> {
-        let h = self.arena.node(t).height;
-        let parent = self
-            .arena
-            .node(t)
-            .parent
-            .expect("split_node is never called on the root");
-        let idx = self.index_of_child(parent, t);
-        let leaves = self.dismantle(t);
+    fn split_node(&mut self, t: u32) -> Result<()> {
+        let InteriorRec {
+            height: h,
+            parent,
+            next: succ,
+            ..
+        } = *self.store.node(t);
+        debug_assert!(parent != NIL, "split_node is never called on the root");
+        let prev = self.prev_sibling(parent, t);
+        let (leaves, visited) = self.dismantle(t);
+        self.stats.nodes_visited += visited;
         let total = leaves.len() as u64;
         let cap = self.params.subtree_capacity(h);
         let m = ceil_div(total, cap);
         let sizes = even_split(total, m);
-        let mut pieces = Vec::with_capacity(m as usize);
+        let mut last = prev;
         let mut off = 0usize;
         for &size in &sizes {
             let piece = self.build_complete(h, &leaves[off..off + size as usize]);
-            self.arena.node_mut(piece).parent = Some(parent);
-            pieces.push(piece);
+            self.store.node_mut(piece).parent = parent;
+            match last {
+                NIL => self.store.node_mut(parent).first = piece,
+                _ => self.store.node_mut(last).next = piece,
+            }
+            last = piece;
             off += size as usize;
         }
-        self.arena
-            .node_mut(parent)
-            .children_mut()
-            .splice(idx..=idx, pieces);
+        self.store.node_mut(last).next = succ;
+        // `m` pieces replace `t`; `m ≤ total` fits `u32` indices.
+        self.store.node_mut(parent).fanout += m as u32 - 1;
         self.stats.splits += 1;
         self.stats.pieces_created += m;
         Ok(())
@@ -599,26 +639,24 @@ impl LTree {
                 height: plan.new_height,
             });
         }
-        let leaves = self.dismantle(self.root);
+        let (leaves, visited) = self.dismantle(self.root);
+        self.stats.nodes_visited += visited;
         debug_assert_eq!(leaves.len() as u64, total);
         let sizes = even_split(total, plan.pieces);
-        let mut level: Vec<NodeId> = Vec::with_capacity(plan.pieces as usize);
+        let mut level: Vec<u32> = Vec::with_capacity(plan.pieces as usize);
         let mut off = 0usize;
         for &size in &sizes {
             level.push(self.build_complete(old_h, &leaves[off..off + size as usize]));
             off += size as usize;
         }
         let a = self.params.arity() as usize;
-        let mut h = old_h;
-        for _ in 0..plan.grouping_levels {
-            h += 1;
-            let mut next = Vec::with_capacity(ceil_div(level.len() as u64, a as u64) as usize);
-            for chunk in level.chunks(a) {
-                next.push(self.make_internal(h, chunk.to_vec()));
-            }
-            level = next;
+        for h in old_h + 1..=old_h + plan.grouping_levels {
+            level = level
+                .chunks(a)
+                .map(|chunk| self.make_internal(h, chunk))
+                .collect();
         }
-        let root = self.make_internal(plan.new_height, level);
+        let root = self.make_internal(plan.new_height, &level);
         self.root = root;
         self.height = plan.new_height;
         self.stats.root_rebuilds += 1;
@@ -626,77 +664,77 @@ impl LTree {
         Ok(())
     }
 
-    /// Collect the leaf sequence of `t` in document order, freeing every
-    /// interior node of the subtree (including `t`).
-    fn dismantle(&mut self, t: NodeId) -> Vec<NodeId> {
-        let mut leaves = Vec::with_capacity(self.arena.node(t).leaf_count() as usize);
-        let mut stack = vec![t];
+    /// Collect the leaf records of `t`'s subtree in document order,
+    /// freeing every interior record of the subtree (including `t`).
+    /// Also returns how many nodes the walk visited, leaves included.
+    fn dismantle(&mut self, t: u32) -> (Vec<u32>, u64) {
+        let mut leaves = Vec::with_capacity(self.store.node(t).leaf_count as usize);
         let mut visited = 0u64;
-        while let Some(id) = stack.pop() {
+        // Pre-order over the interior records; `resume` holds the next
+        // sibling of each record whose subtree is still being walked.
+        let mut resume = Vec::new();
+        let mut u = t;
+        loop {
+            let InteriorRec {
+                next,
+                first,
+                height,
+                ..
+            } = *self.store.node(u);
             visited += 1;
-            if self.arena.node(id).is_leaf() {
-                leaves.push(id);
-            } else {
-                let children = self.arena.node(id).children();
-                for &c in children.iter().rev() {
-                    stack.push(c);
-                }
-                self.arena.free(id);
+            self.store.free_node(u);
+            if u != t && next != NIL {
+                resume.push(next);
+            }
+            if height > 1 {
+                u = first;
+                continue;
+            }
+            let mut c = first;
+            while c != NIL {
+                leaves.push(c);
+                visited += 1;
+                c = self.store.leaf(c).next;
+            }
+            match resume.pop() {
+                Some(next) => u = next,
+                None => break,
             }
         }
-        self.stats.nodes_visited += visited;
-        leaves
-    }
-
-    /// Free all interior nodes below (and including) `u`, leaving leaves
-    /// untouched. Used by `compact`.
-    fn free_internals(&mut self, u: NodeId) {
-        let mut stack = vec![u];
-        while let Some(id) = stack.pop() {
-            if !self.arena.node(id).is_leaf() {
-                let children = self.arena.node(id).children().to_vec();
-                stack.extend(children);
-                self.arena.free(id);
-            }
-        }
+        (leaves, visited)
     }
 
     /// Build a leftmost-complete `a`-ary subtree of exactly `height` over
-    /// the given leaves (chunks of `a^(height-1)` per child). Numbers are
-    /// assigned by a later relabel pass.
-    fn build_complete(&mut self, height: u8, leaves: &[NodeId]) -> NodeId {
+    /// the given leaf records (chunks of `a^(height-1)` per child).
+    /// Numbers are assigned by a later relabel pass.
+    fn build_complete(&mut self, height: u8, leaves: &[u32]) -> u32 {
         debug_assert!(height >= 1 && !leaves.is_empty());
         debug_assert!(leaves.len() as u64 <= self.params.subtree_capacity(height));
         if height == 1 {
-            return self.make_internal(1, leaves.to_vec());
+            return self.make_internal(1, leaves);
         }
         let cap = self.params.subtree_capacity(height - 1);
         let cap = usize::try_from(cap).unwrap_or(usize::MAX).max(1);
-        let children: Vec<NodeId> = leaves
+        let children: Vec<u32> = leaves
             .chunks(cap)
             .map(|chunk| self.build_complete(height - 1, chunk))
             .collect();
-        self.make_internal(height, children)
+        self.make_internal(height, &children)
     }
 
-    /// Allocate an internal node at `height` adopting `children`.
-    fn make_internal(&mut self, height: u8, children: Vec<NodeId>) -> NodeId {
+    /// Allocate an interior record at `height` adopting `children` (leaf
+    /// records at height 1, interior records above) in order.
+    fn make_internal(&mut self, height: u8, children: &[u32]) -> u32 {
+        let id = self.store.alloc_node(height);
         let mut leaf_count = 0u64;
-        for &c in &children {
-            leaf_count += self.arena.node(c).leaf_count();
+        for (i, &c) in children.iter().enumerate() {
+            let next = children.get(i + 1).copied().unwrap_or(NIL);
+            leaf_count += self.store.adopt(c, height - 1, id, next);
         }
-        let id = self.arena.alloc(Node::new_internal(None, height));
-        for &c in &children {
-            self.arena.node_mut(c).parent = Some(id);
-        }
-        if let NodeData::Internal {
-            children: slot,
-            leaf_count: lc,
-        } = &mut self.arena.node_mut(id).data
-        {
-            *slot = children;
-            *lc = leaf_count;
-        }
+        let node = self.store.node_mut(id);
+        node.first = children.first().copied().unwrap_or(NIL);
+        node.fanout = children.len() as u32;
+        node.leaf_count = leaf_count;
         self.stats.nodes_visited += 1;
         id
     }
@@ -704,23 +742,32 @@ impl LTree {
     /// Assign `num(u) = base` and recursively
     /// `num(child_i) = num(parent) + i · B^{h(child)}` (paper Algorithm 1,
     /// `Relabel`). Counts every node written.
-    fn relabel_subtree(&mut self, u: NodeId, base: u128) -> Result<()> {
-        let mut stack = vec![(u, base)];
-        let mut written = 0u64;
+    fn relabel_subtree(&mut self, u: u32, base: u128) -> Result<()> {
+        self.store.node_mut(u).num = base;
+        let mut written = 1u64;
         let mut leaf_writes = 0u64;
-        while let Some((id, num)) = stack.pop() {
-            written += 1;
-            let node = self.arena.node_mut(id);
-            node.num = num;
-            match &node.data {
-                NodeData::Leaf { .. } => leaf_writes += 1,
-                NodeData::Internal { children, .. } => {
-                    let child_h = node.height - 1;
-                    let interval = self.params.interval(child_h)?;
-                    for (i, &c) in children.iter().enumerate() {
-                        stack.push((c, num + i as u128 * interval));
-                    }
+        let mut stack = vec![u];
+        while let Some(id) = stack.pop() {
+            let InteriorRec {
+                num, first, height, ..
+            } = *self.store.node(id);
+            let interval = self.params.interval(height - 1)?;
+            let (mut c, mut i) = (first, 0u128);
+            while c != NIL {
+                let child_num = num + i * interval;
+                if height == 1 {
+                    let leaf = self.store.leaf_mut(c);
+                    leaf.label = child_num;
+                    c = leaf.next;
+                    leaf_writes += 1;
+                } else {
+                    let node = self.store.node_mut(c);
+                    node.num = child_num;
+                    stack.push(c);
+                    c = node.next;
                 }
+                written += 1;
+                i += 1;
             }
         }
         self.stats.relabel_events += 1;
@@ -739,22 +786,18 @@ impl LTree {
     /// structure (the paper's Section 4.2 observation) and recomputed on
     /// load.
     pub(crate) fn structure(&self) -> impl Iterator<Item = StructureEvent> + '_ {
-        let mut stack = if self.is_empty() {
-            Vec::new()
-        } else {
-            vec![self.root]
-        };
+        let mut at = (!self.is_empty()).then_some((self.root, self.height));
         std::iter::from_fn(move || {
-            let id = stack.pop()?;
-            Some(match &self.arena.node(id).data {
-                NodeData::Internal { children, .. } => {
-                    stack.extend(children.iter().rev());
-                    StructureEvent::Interior(
-                        u16::try_from(children.len()).expect("fanout fits u16 (f <= 65536)"),
-                    )
-                }
-                NodeData::Leaf { deleted } => StructureEvent::Leaf(*deleted),
-            })
+            let (u, h) = at?;
+            if h == 0 {
+                at = self.next_subtree(u, 0);
+                return Some(StructureEvent::Leaf(self.store.leaf(u).is_deleted()));
+            }
+            let node = self.store.node(u);
+            at = Some((node.first, h - 1));
+            Some(StructureEvent::Interior(
+                u16::try_from(node.fanout).expect("fanout fits u16 (f <= 65536)"),
+            ))
         })
     }
 
@@ -773,79 +816,84 @@ impl LTree {
         if height > params.max_height() {
             return Err(LTreeError::LabelOverflow { height });
         }
-        tree.arena.free(tree.root);
+        tree.store.free_node(tree.root);
         let corrupt = || LTreeError::InvalidParams {
             f: params.f(),
             s: params.s(),
             reason: "snapshot structure is inconsistent",
         };
-        // Frame stack of open interior nodes: (id, children still owed).
-        let mut frames: Vec<(NodeId, u16)> = Vec::new();
+        // Frame stack of open interior records: (record, children still
+        // owed, last child so far).
+        let mut frames: Vec<(u32, u16, u32)> = Vec::new();
         let mut leaves = Vec::new();
-        let mut root: Option<NodeId> = None;
+        let mut root: Option<u32> = None;
         let mut n_leaves = 0u64;
         let mut n_live = 0u64;
         for (idx, &ev) in events.iter().enumerate() {
+            let (parent, h) = match frames.last() {
+                Some(&(parent, ..)) => (parent, tree.store.node(parent).height - 1),
+                // Exactly one root, first.
+                None if idx == 0 => (NIL, height),
+                None => return Err(corrupt()),
+            };
             // Allocate.
-            let node_id = match ev {
+            let id = match ev {
                 Ev::Interior(fanout) => {
                     // Empty trees encode as zero events; a fanout within
                     // `f` at a height within `max_height` keeps every
                     // label below `B^H`.
-                    if fanout == 0 || u32::from(fanout) > params.f() {
+                    if fanout == 0 || u32::from(fanout) > params.f() || h == 0 {
                         return Err(corrupt());
                     }
-                    tree.arena.alloc(Node::new_internal(None, 0))
+                    let id = tree.store.alloc_node(h);
+                    tree.store.node_mut(id).fanout = u32::from(fanout);
+                    id
                 }
                 Ev::Leaf(deleted) => {
-                    let id = tree.arena.alloc(Node::new_leaf(None));
+                    if h != 0 || parent == NIL {
+                        return Err(corrupt()); // leaf above the leaf level
+                    }
+                    if n_leaves == MAX_LEAVES {
+                        return Err(LTreeError::CapacityExceeded {
+                            requested: n_leaves + 1,
+                        });
+                    }
+                    let leaf = tree.store.alloc_leaf(parent);
                     if deleted {
-                        if let NodeData::Leaf { deleted: d } = &mut tree.arena.node_mut(id).data {
-                            *d = true;
-                        }
+                        tree.store.leaf_mut(leaf.idx).set_deleted();
                     } else {
                         n_live += 1;
                     }
                     n_leaves += 1;
-                    leaves.push(LeafId(id));
-                    id
+                    tree.store.node_mut(parent).leaf_count += 1;
+                    leaves.push(leaf);
+                    leaf.idx
                 }
             };
             // Attach.
             match frames.last_mut() {
-                Some((parent_id, remaining)) => {
-                    let parent_id = *parent_id;
+                Some((parent, remaining, last)) => {
                     *remaining -= 1;
-                    let child_height = tree
-                        .arena
-                        .node(parent_id)
-                        .height
-                        .checked_sub(1)
-                        .ok_or_else(corrupt)?;
-                    if matches!(ev, Ev::Leaf(_)) && child_height != 0 {
-                        return Err(corrupt()); // leaf above the leaf level
+                    tree.store.adopt(id, h, *parent, NIL);
+                    match *last {
+                        NIL => tree.store.node_mut(*parent).first = id,
+                        prev => tree.store.set_next(prev, h, id),
                     }
-                    if matches!(ev, Ev::Interior(_)) && child_height == 0 {
-                        return Err(corrupt()); // interior at the leaf level
-                    }
-                    tree.arena.node_mut(node_id).height = child_height;
-                    tree.arena.node_mut(node_id).parent = Some(parent_id);
-                    tree.arena.node_mut(parent_id).children_mut().push(node_id);
+                    *last = id;
                 }
-                None => {
-                    if idx != 0 || matches!(ev, Ev::Leaf(_)) {
-                        return Err(corrupt()); // exactly one root, interior
-                    }
-                    tree.arena.node_mut(node_id).height = height;
-                    root = Some(node_id);
-                }
+                None => root = Some(id),
             }
-            // Open this node's own frame, then close completed ones.
+            // Open this node's own frame, then close completed ones,
+            // folding each one's leaf count into its parent.
             if let Ev::Interior(fanout) = ev {
-                frames.push((node_id, fanout));
+                frames.push((id, fanout, NIL));
             }
-            while matches!(frames.last(), Some(&(_, 0))) {
+            while let Some(&(done, 0, _)) = frames.last() {
                 frames.pop();
+                if let Some(&(parent, ..)) = frames.last() {
+                    let count = tree.store.node(done).leaf_count;
+                    tree.store.node_mut(parent).leaf_count += count;
+                }
             }
         }
         if !frames.is_empty() {
@@ -856,36 +904,17 @@ impl LTree {
         tree.height = height;
         tree.n_leaves = n_leaves;
         tree.n_live = n_live;
-        // Recompute leaf counts bottom-up and labels top-down.
-        tree.recount_leaves(root);
         tree.relabel_subtree(root, 0)?;
         tree.stats.reset();
         Ok((tree, leaves))
     }
 
-    /// Recompute `leaf_count` for every interior node under `u`.
-    fn recount_leaves(&mut self, u: NodeId) -> u64 {
-        let node = self.arena.node(u);
-        if node.is_leaf() {
-            return 1;
-        }
-        let children = node.children().to_vec();
-        let mut total = 0u64;
-        for c in children {
-            total += self.recount_leaves(c);
-        }
-        if let NodeData::Internal { leaf_count, .. } = &mut self.arena.node_mut(u).data {
-            *leaf_count = total;
-        }
-        total
-    }
-
     // Crate-internal accessors for the invariant checker.
-    pub(crate) fn arena_ref(&self) -> &Arena {
-        &self.arena
+    pub(crate) fn store(&self) -> &Store {
+        &self.store
     }
 
-    pub(crate) fn root_id(&self) -> NodeId {
+    pub(crate) fn root_id(&self) -> u32 {
         self.root
     }
 
@@ -895,6 +924,13 @@ impl LTree {
 
     pub(crate) fn live_total(&self) -> u64 {
         self.n_live
+    }
+
+    /// Seeded-failure hook for the invariant checker's tests: raw access
+    /// to the records, bypassing every operation.
+    #[cfg(test)]
+    pub(crate) fn store_mut(&mut self) -> &mut Store {
+        &mut self.store
     }
 }
 
@@ -909,28 +945,24 @@ impl std::fmt::Debug for LTree {
     }
 }
 
-/// Document-order leaf iterator (see [`LTree::leaves`]).
+/// Document-order leaf iterator (see [`LTree::leaves`]): follows sibling
+/// links, climbing only at the end of a sibling list.
 pub struct Leaves<'a> {
     tree: &'a LTree,
-    stack: Vec<NodeId>,
+    /// Leaf record to yield next; [`NIL`] when done.
+    next: u32,
 }
 
 impl Iterator for Leaves<'_> {
     type Item = LeafId;
 
     fn next(&mut self) -> Option<LeafId> {
-        while let Some(id) = self.stack.pop() {
-            let node = self.tree.arena.node(id);
-            match &node.data {
-                NodeData::Leaf { .. } => return Some(LeafId(id)),
-                NodeData::Internal { children, .. } => {
-                    for &c in children.iter().rev() {
-                        self.stack.push(c);
-                    }
-                }
-            }
+        if self.next == NIL {
+            return None;
         }
-        None
+        let idx = self.next;
+        self.next = self.tree.successor(idx).unwrap_or(NIL);
+        Some(self.tree.store.leaf_id(idx))
     }
 }
 
@@ -1185,17 +1217,37 @@ mod tests {
         let (mut tree, leaves) = LTree::bulk_load(Params::example(), 4).unwrap();
         let (other, other_leaves) = LTree::bulk_load(Params::example(), 4).unwrap();
         drop(other);
-        // A LeafId from another tree may or may not alias a slot; the
-        // arena generation makes the non-aliasing case safe, and the
-        // type-level contract documents the rest. At minimum, internal
-        // node ids and freed ids must be rejected:
+        // A LeafId from another tree may or may not alias a leaf record;
+        // the record generation makes the freed case safe, and the
+        // type-level contract documents the rest. At minimum, freed ids
+        // must be rejected, also once their record is reused:
         tree.delete(leaves[0]).unwrap();
         tree.compact().unwrap();
         assert!(matches!(
             tree.label(leaves[0]),
             Err(LTreeError::UnknownHandle)
         ));
+        let reused = tree.insert_after(leaves[1]).unwrap();
+        assert_eq!(reused.idx, leaves[0].idx, "the freed record is reused");
+        assert_eq!(tree.delete(leaves[0]), Err(LTreeError::UnknownHandle));
+        assert!(tree.contains(reused));
+        // Out-of-range and never-issued ids are unknown too.
+        let beyond = LeafId::from_u64(1_000 << 32).unwrap();
+        assert_eq!(tree.insert_after(beyond), Err(LTreeError::UnknownHandle));
         let _ = other_leaves;
+    }
+
+    #[test]
+    fn leaf_ids_round_trip_through_u64() {
+        let (tree, leaves) = LTree::bulk_load(Params::example(), 4).unwrap();
+        for &leaf in &leaves {
+            let packed = leaf.to_u64();
+            assert_ne!(packed, 0, "handle 0 is never valid");
+            assert_eq!(LeafId::from_u64(packed), Some(leaf));
+            assert!(tree.contains(leaf));
+        }
+        assert_eq!(LeafId::from_u64(0), None);
+        assert_eq!(LeafId::from_u64(u64::from(u32::MAX)), None);
     }
 
     #[test]

@@ -1,0 +1,244 @@
+//! The materialized L-Tree's storage, pinned from outside the crate:
+//!
+//! * batches too large for the tree's `u32` index space are a typed
+//!   error before anything is allocated, and leave the tree unchanged;
+//! * per-preset cost, shape and label goldens: a seeded stream of single
+//!   and batch inserts, scattered deletes and a `compact()`, pinned as
+//!   the whole [`Stats`] block, the `LTRS` image's sealed trailer and a
+//!   digest of the label sequence — storage changes must reproduce the
+//!   algorithm bit for bit;
+//! * a space ceiling on `memory_bytes() / live_len()` at n₀ = 10⁵.
+
+use ltree_core::rng::SplitMix64;
+use ltree_core::{snapshot, LTree, LTreeError, LeafId, Params, Stats};
+
+/// FNV-1a over the labels in document order (tombstones included).
+fn label_digest(tree: &LTree) -> u64 {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for leaf in tree.leaves() {
+        for b in tree.label(leaf).unwrap().get().to_le_bytes() {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    hash
+}
+
+fn labels(tree: &LTree) -> Vec<u128> {
+    tree.leaves()
+        .map(|l| tree.label(l).unwrap().get())
+        .collect()
+}
+
+#[test]
+fn oversized_batches_are_typed_errors_that_change_nothing() {
+    let params = Params::new(4, 2).unwrap();
+    let (mut tree, leaves) = LTree::bulk_load(params, 50).unwrap();
+    let before = labels(&tree);
+    for k in [1usize << 40, u32::MAX as usize] {
+        assert_eq!(
+            tree.insert_many_after(leaves[10], k),
+            Err(LTreeError::CapacityExceeded {
+                requested: k as u64
+            }),
+            "batch of {k}"
+        );
+        assert_eq!(tree.len(), 50);
+        assert_eq!(tree.live_len(), 50);
+        assert_eq!(labels(&tree), before);
+        tree.check_invariants().unwrap();
+    }
+    // The tree still takes an ordinary batch afterwards.
+    tree.insert_many_after(leaves[10], 3).unwrap();
+    tree.check_invariants().unwrap();
+
+    let err = LTree::bulk_load(params, 1 << 40).unwrap_err();
+    assert_eq!(err, LTreeError::CapacityExceeded { requested: 1 << 40 });
+    assert!(err.to_string().contains("1099511627776"), "{err}");
+}
+
+/// Seed 1 exercises a cascade split in every preset.
+const SEED: u64 = 1;
+
+/// One preset's pinned outcome.
+struct Golden {
+    stats: Stats,
+    image_trailer: u64,
+    label_digest: u64,
+}
+
+/// Bulk load 200, then 300 ops at random existing leaves (a quarter are
+/// batches of 2–119, the rest single inserts), then tombstone about one
+/// leaf in eight. Returns the tree before `compact()`.
+fn golden_run(params: Params) -> (LTree, Vec<LeafId>) {
+    let mut rng = SplitMix64::new(SEED);
+    let (mut tree, mut leaves) = LTree::bulk_load(params, 200).unwrap();
+    for _ in 0..300 {
+        let anchor = leaves[rng.gen_range(0..leaves.len())];
+        if rng.gen_range(0..4) == 0 {
+            let k = rng.gen_range(2..120);
+            leaves.extend(tree.insert_many_after(anchor, k).unwrap());
+        } else {
+            leaves.push(tree.insert_after(anchor).unwrap());
+        }
+    }
+    for &leaf in &leaves {
+        if rng.gen_range(0..8) == 0 {
+            tree.delete(leaf).unwrap();
+        }
+    }
+    tree.check_invariants().unwrap();
+    (tree, leaves)
+}
+
+fn image_trailer(tree: &LTree) -> u64 {
+    let image = snapshot::save(tree);
+    u64::from_le_bytes(image[image.len() - 8..].try_into().unwrap())
+}
+
+#[test]
+fn cost_shape_and_label_goldens_per_preset() {
+    let goldens = goldens();
+    let presets = Params::presets();
+    assert_eq!(goldens.len(), presets.len());
+    for (params, golden) in presets.into_iter().zip(goldens) {
+        let (mut tree, _) = golden_run(params);
+        let trailer = image_trailer(&tree);
+        let digest = label_digest(&tree);
+        let live: Vec<LeafId> = tree.live_leaves().collect();
+        tree.compact().unwrap();
+        tree.check_invariants().unwrap();
+        assert_eq!(tree.live_leaves().collect::<Vec<_>>(), live);
+        let stats = tree.stats().clone();
+        let (f, s) = (params.f(), params.s());
+        assert!(stats.cascade_splits > 0, "({f},{s}): no cascade exercised");
+        assert_eq!(stats, golden.stats, "({f},{s}): stats");
+        assert_eq!(trailer, golden.image_trailer, "({f},{s}): LTRS trailer");
+        assert_eq!(digest, golden.label_digest, "({f},{s}): label digest");
+    }
+}
+
+#[test]
+fn bytes_per_live_item_stay_under_the_ceiling() {
+    let params = Params::new(4, 2).unwrap();
+    let (mut tree, leaves) = LTree::bulk_load(params, 100_000).unwrap();
+    let mut rng = SplitMix64::new(7);
+    for _ in 0..10_000 {
+        tree.insert_after(leaves[rng.gen_range(0..5_000)]).unwrap();
+    }
+    let per_item = tree.memory_bytes() as f64 / tree.live_len() as f64;
+    assert!(per_item <= 160.0, "{per_item:.1} B per live item");
+}
+
+/// In `Params::presets()` order. Recorded from an earlier implementation
+/// of the tree over a different node layout, so they pin the algorithm,
+/// not the storage under it.
+fn goldens() -> Vec<Golden> {
+    vec![
+        // (4,2)
+        Golden {
+            stats: Stats {
+                inserts: 223,
+                batch_inserts: 77,
+                leaves_inserted: 4954,
+                deletes: 640,
+                count_updates: 3232,
+                relabel_events: 301,
+                nodes_relabeled: 60399,
+                leaf_label_writes: 30246,
+                max_relabeled_in_one_op: 9035,
+                splits: 80,
+                pieces_created: 233,
+                root_rebuilds: 4,
+                cascade_splits: 1,
+                nodes_visited: 62273,
+            },
+            image_trailer: 0x420d_92fc_3fbf_ac8e,
+            label_digest: 0x38e3_a03d_0968_5a40,
+        },
+        // (8,2)
+        Golden {
+            stats: Stats {
+                inserts: 223,
+                batch_inserts: 77,
+                leaves_inserted: 4954,
+                deletes: 640,
+                count_updates: 1692,
+                relabel_events: 301,
+                nodes_relabeled: 53501,
+                leaf_label_writes: 40118,
+                max_relabeled_in_one_op: 6421,
+                splits: 78,
+                pieces_created: 265,
+                root_rebuilds: 2,
+                cascade_splits: 4,
+                nodes_visited: 28240,
+            },
+            image_trailer: 0xcc72_8e5f_d3e9_aa4e,
+            label_digest: 0x9ea4_2cb1_98af_c772,
+        },
+        // (9,3)
+        Golden {
+            stats: Stats {
+                inserts: 223,
+                batch_inserts: 77,
+                leaves_inserted: 4954,
+                deletes: 640,
+                count_updates: 1968,
+                relabel_events: 301,
+                nodes_relabeled: 42383,
+                leaf_label_writes: 28328,
+                max_relabeled_in_one_op: 6775,
+                splits: 76,
+                pieces_created: 361,
+                root_rebuilds: 2,
+                cascade_splits: 1,
+                nodes_visited: 28872,
+            },
+            image_trailer: 0x3f99_39a7_9f8e_f945,
+            label_digest: 0x36b2_3d7a_22b5_52ff,
+        },
+        // (16,4)
+        Golden {
+            stats: Stats {
+                inserts: 223,
+                batch_inserts: 77,
+                leaves_inserted: 4954,
+                deletes: 640,
+                count_updates: 1526,
+                relabel_events: 301,
+                nodes_relabeled: 36597,
+                leaf_label_writes: 27596,
+                max_relabeled_in_one_op: 6023,
+                splits: 73,
+                pieces_created: 514,
+                root_rebuilds: 2,
+                cascade_splits: 1,
+                nodes_visited: 22823,
+            },
+            image_trailer: 0xad6d_dad4_fa6d_efa0,
+            label_digest: 0x2c4f_35ff_415d_07fa,
+        },
+        // (32,4)
+        Golden {
+            stats: Stats {
+                inserts: 223,
+                batch_inserts: 77,
+                leaves_inserted: 4954,
+                deletes: 640,
+                count_updates: 1106,
+                relabel_events: 301,
+                nodes_relabeled: 31988,
+                leaf_label_writes: 28191,
+                max_relabeled_in_one_op: 5162,
+                splits: 66,
+                pieces_created: 587,
+                root_rebuilds: 1,
+                cascade_splits: 1,
+                nodes_visited: 11985,
+            },
+            image_trailer: 0x0709_652e_f95e_0a0c,
+            label_digest: 0x0ea3_b5a8_bad5_197d,
+        },
+    ]
+}

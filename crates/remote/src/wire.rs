@@ -209,13 +209,16 @@ pub enum Response {
 /// Canonicalize an error for the wire: every variant travels as itself
 /// except [`LTreeError::InvalidParams`] / [`LTreeError::InvalidSpec`] /
 /// [`LTreeError::InvalidOption`], whose `&'static str` reasons cannot
-/// be reconstructed by a peer — they become [`LTreeError::Remote`]
-/// carrying the rendered message.
+/// be reconstructed by a peer, and [`LTreeError::CapacityExceeded`],
+/// which has no wire tag (the server's [`MAX_REPLY_HANDLES`] check refuses
+/// such a batch first) — they become [`LTreeError::Remote`] carrying the
+/// rendered message.
 pub fn wire_error(e: &LTreeError) -> LTreeError {
     match e {
         LTreeError::InvalidParams { .. }
         | LTreeError::InvalidSpec { .. }
-        | LTreeError::InvalidOption { .. } => LTreeError::Remote {
+        | LTreeError::InvalidOption { .. }
+        | LTreeError::CapacityExceeded { .. } => LTreeError::Remote {
             context: e.to_string(),
         },
         other => other.clone(),
@@ -391,7 +394,8 @@ fn put_error(b: &mut Vec<u8>, e: &LTreeError) {
         // `wire_error` canonicalized these away.
         LTreeError::InvalidParams { .. }
         | LTreeError::InvalidSpec { .. }
-        | LTreeError::InvalidOption { .. } => unreachable!(),
+        | LTreeError::InvalidOption { .. }
+        | LTreeError::CapacityExceeded { .. } => unreachable!(),
     }
 }
 
