@@ -84,13 +84,8 @@ pub fn default_config(scale: Scale) -> SweepConfig {
             // column.
             "served(ltree(4,2))".into(),
             // The pooled client (4 connections; single-threaded replay,
-            // so this pins the pool's overhead at ~zero)…
+            // so this pins the pool's overhead at ~zero).
             "served(ltree(4,2),conns=4)".into(),
-            // …and the coalescing write buffer: same replay, adjacent
-            // splices merged and pipelined — the `rtt saved` column
-            // reports its round-trip savings against the plain served
-            // twin above.
-            "served(ltree(4,2),coalesce)".into(),
             // The contract auditor over the same L-Tree shape: the
             // `audit ovh` column reports its wall-clock overhead vs the
             // plain ltree(4,2) twin (reported, never gated — the
@@ -163,15 +158,6 @@ impl SweepCell {
     /// shows.
     pub fn segment_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// For a cell whose spec enables the coalescing write buffer, the
-    /// spec of its non-coalescing twin (the same cell minus the
-    /// `coalesce` option) — the baseline the `rtt saved` column
-    /// compares round trips against. `None` for every other cell.
-    pub fn coalesce_twin_spec(&self) -> Option<String> {
-        let twin = self.spec.replace(",coalesce", "").replace("coalesce,", "");
-        (twin != self.spec).then_some(twin)
     }
 
     /// For a cell whose spec is a `checked(...)` auditor wrapper, the
@@ -440,20 +426,6 @@ impl SweepReport {
         })
     }
 
-    /// Round-trip savings of a coalescing cell against its
-    /// non-coalescing twin, as a percentage (positive = fewer trips).
-    /// `None` when the cell does not coalesce or the twin is missing.
-    pub fn coalesce_savings(&self, cell: &SweepCell) -> Option<f64> {
-        let rt = cell.round_trips()?;
-        let twin_rt = self
-            .twin(cell, &cell.coalesce_twin_spec()?)?
-            .round_trips()?;
-        if twin_rt == 0 {
-            return None;
-        }
-        Some((twin_rt as f64 - rt as f64) * 100.0 / twin_rt as f64)
-    }
-
     /// In-scheme wall-clock overhead of a wrapper cell against the twin
     /// that ran `twin_spec`, its plain inner scheme, as a percentage of
     /// the twin's in-scheme time (positive = the wrapper costs time):
@@ -495,7 +467,6 @@ impl SweepReport {
                 "p99 µs",
                 "shards",
                 "rtt",
-                "rtt saved",
                 "audit ovh",
                 "dur ovh",
             ],
@@ -508,7 +479,6 @@ impl SweepReport {
         t.note("carries the full per-shard counter breakdown, plus each cell's net/, wal/");
         t.note("and audit/ metric counters); rtt = client round trips");
         t.note("for remote schemes — batching is what keeps it near the splice count;");
-        t.note("rtt saved = round trips a `coalesce` cell saved vs its plain twin;");
         t.note("audit ovh = in-scheme wall-clock a `checked` cell costs vs its plain twin");
         t.note("(reported, never gated — the contract auditor is verification, not a");
         t.note("contender); dur ovh = the same figure for a `durable` cell's write-ahead");
@@ -543,10 +513,6 @@ impl SweepReport {
                         None => "—".into(),
                         Some(rt) => rt.to_string(),
                     },
-                    match self.coalesce_savings(c) {
-                        None => "—".into(),
-                        Some(pct) => format!("{pct:.0}%"),
-                    },
                     overhead(c.checked_twin_spec()),
                     overhead(c.durable_twin_spec()),
                 ]),
@@ -554,7 +520,7 @@ impl SweepReport {
                     [c.n.to_string(), c.workload.clone(), c.spec.clone()]
                         .into_iter()
                         .chain(std::iter::once(format!("ERROR: {e}")))
-                        .chain(std::iter::repeat_n("—".to_string(), 12))
+                        .chain(std::iter::repeat_n("—".to_string(), 11))
                         .collect(),
                 ),
             };
@@ -870,14 +836,13 @@ pub fn compare_with_baseline(
 mod tests {
     use super::*;
 
-    const TINY_SPECS: [&str; 7] = [
+    const TINY_SPECS: [&str; 6] = [
         "ltree(4,2)",
         "gap",
         "naive",
         "sharded(2,32,4,ltree(4,2))",
         "served(ltree(4,2))",
         "served(ltree(4,2),conns=4)",
-        "served(ltree(4,2),coalesce)",
     ];
     const TINY_WORKLOADS: [&str; 6] = [
         "bulk-load",
@@ -903,10 +868,10 @@ mod tests {
     #[test]
     fn sweep_covers_the_cross_product_without_errors() {
         let report = run_sweep(&tiny_config());
-        assert_eq!(report.cells.len(), 7 * 6);
+        assert_eq!(report.cells.len(), 6 * 6);
         assert!(report.errored().is_empty(), "{:?}", report.errored());
         let table = report.to_table();
-        assert_eq!(table.rows.len(), 42);
+        assert_eq!(table.rows.len(), 36);
         // Every workload (doc-edit included) appears for every spec.
         for spec in TINY_SPECS {
             for wl in TINY_WORKLOADS {
@@ -930,7 +895,7 @@ mod tests {
         assert_eq!(errored.len(), 6, "one errored cell per workload");
         assert!(errored[0].1.contains("no-such-scheme"));
         // The rest of the matrix still ran.
-        assert_eq!(report.cells.len(), 8 * 6);
+        assert_eq!(report.cells.len(), 7 * 6);
     }
 
     #[test]
@@ -960,9 +925,6 @@ mod tests {
                     .round_trips()
                     .unwrap_or_else(|| panic!("{} × {} has no rtt", c.spec, c.workload));
                 assert!(rt > 0, "{} × {}", c.spec, c.workload);
-                if c.spec.contains("coalesce") {
-                    continue; // compared against its twin below
-                }
                 // The wire adds round trips, not label maintenance: the
                 // served(ltree(4,2)) cells (pooled or not) must report
                 // exactly the ltree(4,2) counters for the same workload.
@@ -978,39 +940,6 @@ mod tests {
                 assert_eq!(c.round_trips(), None, "{}", c.spec);
             }
         }
-    }
-
-    /// The coalescing cells report savings against their plain twin,
-    /// and insert-dominated workloads really save round trips (the
-    /// whole point of write batching across calls).
-    #[test]
-    fn coalesce_cells_report_round_trip_savings() {
-        let report = run_sweep(&tiny_config());
-        let mut saw = 0;
-        for c in &report.cells {
-            if let Some(twin) = c.coalesce_twin_spec() {
-                assert_eq!(twin, "served(ltree(4,2))", "{}", c.spec);
-                let pct = report
-                    .coalesce_savings(c)
-                    .unwrap_or_else(|| panic!("{} × {}: no savings figure", c.spec, c.workload));
-                if c.workload == "bulk-load" || c.workload == "append-heavy" {
-                    assert!(
-                        pct > 0.0,
-                        "{} × {}: insert-dominated replay must save trips ({pct:.0}%)",
-                        c.spec,
-                        c.workload
-                    );
-                }
-                saw += 1;
-            } else {
-                assert!(
-                    report.coalesce_savings(c).is_none(),
-                    "{}: unexpected savings column",
-                    c.spec
-                );
-            }
-        }
-        assert_eq!(saw, 6, "one coalesce cell per workload");
     }
 
     /// The durable cell: counters identical to its plain twin (the
@@ -1031,7 +960,7 @@ mod tests {
         let table = report.to_table();
         let mut saw = 0;
         for (c, row) in report.cells.iter().zip(&table.rows) {
-            let dur_ovh = &row[15];
+            let dur_ovh = &row[14];
             let Some(twin_spec) = c.durable_twin_spec() else {
                 assert_eq!(dur_ovh, "—", "{}: unexpected dur ovh", c.spec);
                 continue;

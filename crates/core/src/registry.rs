@@ -142,7 +142,7 @@ pub enum SpecArg {
     Num(f64),
     /// A nested scheme spec (`ltree(4,2)`, `gap`), built recursively by
     /// composite factories — or a bare word a factory may interpret as a
-    /// flag option (`coalesce`).
+    /// flag option (`reconnect`).
     Spec(String),
     /// A `key=value` option (`conns=4`). Interpretation belongs to the
     /// factory; [`SpecOptions`] is the standard way to consume these.
@@ -174,7 +174,7 @@ impl SpecArg {
 
 /// A typed view over the trailing `key=value` / bare-flag arguments of a
 /// spec, for composite factories that accept options
-/// (`remote(host:port,conns=4,retries=2,coalesce)`).
+/// (`remote(host:port,conns=4,retries=2,reconnect)`).
 ///
 /// Factories `take_*` the keys they know, then call
 /// [`finish`](Self::finish), which rejects anything left over — so an
@@ -188,12 +188,12 @@ impl SpecArg {
 ///
 /// let args = [
 ///     SpecArg::Opt { key: "conns".into(), value: "4".into() },
-///     SpecArg::Spec("coalesce".into()), // a bare flag
+///     SpecArg::Spec("reconnect".into()), // a bare flag
 /// ];
 /// let mut opts = SpecOptions::parse("remote", &args).unwrap();
 /// assert_eq!(opts.take_u32("conns").unwrap(), Some(4));
-/// assert!(opts.take_flag("coalesce").unwrap());
-/// assert!(!opts.take_flag("reconnect").unwrap()); // absent flag
+/// assert!(opts.take_flag("reconnect").unwrap());
+/// assert_eq!(opts.take_u64("timeout-ms").unwrap(), None); // absent option
 /// opts.finish().unwrap(); // nothing unknown left behind
 /// ```
 #[derive(Debug)]
@@ -261,8 +261,8 @@ impl SpecOptions {
         }
     }
 
-    /// Consume a bare flag (`coalesce`). Present → `true`; absent →
-    /// `false`; present *with* a value (`coalesce=1`) → error.
+    /// Consume a bare flag (`reconnect`). Present → `true`; absent →
+    /// `false`; present *with* a value (`reconnect=1`) → error.
     pub fn take_flag(&mut self, key: &str) -> Result<bool> {
         match self.take(key) {
             None => Ok(false),
@@ -715,7 +715,7 @@ mod tests {
     #[test]
     fn option_arguments_parse_and_misuse_is_typed() {
         // key=value and bare flags reach composite factories as SpecArgs.
-        let (name, args) = parse_spec("remote(127.0.0.1:9, conns=4, coalesce)").unwrap();
+        let (name, args) = parse_spec("remote(127.0.0.1:9, conns=4, reconnect)").unwrap();
         assert_eq!(name, "remote");
         assert_eq!(
             args,
@@ -725,7 +725,7 @@ mod tests {
                     key: "conns".into(),
                     value: "4".into()
                 },
-                SpecArg::Spec("coalesce".into()),
+                SpecArg::Spec("reconnect".into()),
             ]
         );
         // A nested spec keeps its own options intact (the '(' wins).
@@ -771,13 +771,13 @@ mod tests {
         let mut opts = SpecOptions::parse(
             "remote",
             &[SpecArg::Opt {
-                key: "coalesce".into(),
+                key: "reconnect".into(),
                 value: "1".into(),
             }],
         )
         .unwrap();
         assert!(matches!(
-            opts.take_flag("coalesce"),
+            opts.take_flag("reconnect"),
             Err(LTreeError::InvalidOption { .. })
         ));
         let mut opts = SpecOptions::parse("remote", &[SpecArg::Spec("conns".into())]).unwrap();
@@ -790,8 +790,8 @@ mod tests {
             SpecOptions::parse(
                 "remote",
                 &[
-                    SpecArg::Spec("coalesce".into()),
-                    SpecArg::Spec("coalesce".into())
+                    SpecArg::Spec("reconnect".into()),
+                    SpecArg::Spec("reconnect".into())
                 ]
             ),
             Err(LTreeError::InvalidOption { .. })

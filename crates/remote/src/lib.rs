@@ -13,10 +13,10 @@
 //! the scheme logic vary independently:
 //!
 //! * [`wire`] — a dependency-free length-prefixed frame codec covering
-//!   the full trait surface (point ops, typed splices, chunked
-//!   `(handle, label)` pages, stats, and a `Metrics` scrape frame
-//!   carrying counter/gauge/histogram snapshots), with explicit
-//!   protocol-version and error frames;
+//!   the full trait surface (point writes, typed splices, counts,
+//!   chunked `(handle, label)` pages — the one order read — stats, and
+//!   a `Metrics` scrape frame carrying counter/gauge/histogram
+//!   snapshots), with explicit protocol-version and error frames;
 //! * [`transport`] — one framed request/response channel over a
 //!   socket, [`TcpTransport`];
 //! * [`pool`] — the connection model: an [`Endpoint`] is the
@@ -25,21 +25,21 @@
 //!   readers spread over connections and hit the server's shared read
 //!   lock in parallel, while writes serialize through one pipelined
 //!   connection; a declarative [`ClientPolicy`]
-//!   (`{conns, retries, reconnect, op_timeout, coalesce}`) drives
+//!   (`{conns, retries, reconnect, op_timeout}`) drives
 //!   automatic reconnect-and-retry on transport errors, with mandatory
 //!   page-cache invalidation on every reconnect;
 //! * [`LabelServer`] — a `std::net` TCP server hosting any
 //!   registry-built scheme behind an `RwLock` (shared reads, exclusive
 //!   writes), thread-per-connection with request pipelining, graceful
-//!   shutdown, per-connection op/byte counters and per-request phase
+//!   shutdown, a finished connection's socket and thread released at
+//!   the next accept, per-connection op/byte counters and per-request phase
 //!   latency histograms (decode / lock-wait / apply / encode) answered
 //!   live through the wire `Metrics` request;
 //!   [`ServerGroup`] launches *n* of them and hands back the
 //!   `sharded(n,remote(…))` deployment spec in one call;
 //! * [`RemoteScheme`] — the client: the whole trait family over a pool,
-//!   page-cached reads, one frame per splice, an opt-in coalescing
-//!   write buffer (adjacent single-op edits merge into splice runs,
-//!   flushed pipelined on any read), and transport counters in
+//!   one frame per write call (a whole splice is one frame), pipelined
+//!   splice plans, page-cached reads, and transport counters in
 //!   `metrics()`.
 //!
 //! The crate also owns the **durability layer** (see [`durable`] and
@@ -62,7 +62,7 @@
 //!
 //! Options are `key=value` pairs / bare flags mapping onto
 //! [`ClientPolicy`]: `conns=N`, `retries=N`, `reconnect`,
-//! `timeout-ms=N`, `coalesce`. Defaults reproduce the plain
+//! `timeout-ms=N`. Defaults reproduce the plain
 //! single-connection client, so every pre-existing spec parses
 //! unchanged.
 //!
@@ -81,7 +81,7 @@
 //!
 //! let mut reg = SchemeRegistry::with_builtin();
 //! ltree_remote::register(&mut reg);
-//! let mut scheme = reg.build("served(ltree(4,2),conns=2,coalesce)").unwrap();
+//! let mut scheme = reg.build("served(ltree(4,2),conns=2,reconnect)").unwrap();
 //! let handles = scheme.bulk_build(10).unwrap();
 //! assert!(scheme.label_of(handles[3]).unwrap() < scheme.label_of(handles[4]).unwrap());
 //! ```
@@ -130,8 +130,8 @@ use ltree_core::LTreeError;
 ///   [`RemoteScheme`] connected to it over TCP.
 ///
 /// Both accept trailing [`ClientPolicy`] options — `conns=N`,
-/// `retries=N`, `reconnect`, `timeout-ms=N`, `coalesce` — e.g.
-/// `remote(127.0.0.1:7878,conns=4,retries=2,coalesce)`. Unknown or
+/// `retries=N`, `reconnect`, `timeout-ms=N` — e.g.
+/// `remote(127.0.0.1:7878,conns=4,retries=2,reconnect)`. Unknown or
 /// malformed options are typed [`LTreeError::InvalidOption`] errors
 /// naming the key.
 ///
@@ -195,7 +195,7 @@ pub fn register(reg: &mut SchemeRegistry) {
     );
     reg.register_composite(
         "served",
-        "remote store on an in-process server, dialed over TCP; args: (inner-spec[,conns=N,retries=N,reconnect,timeout-ms=N,coalesce])",
+        "remote store on an in-process server, dialed over TCP; args: (inner-spec[,conns=N,retries=N,reconnect,timeout-ms=N])",
         |reg, cfg, args| {
             let Some((SpecArg::Spec(inner), rest)) = args.split_first() else {
                 return Err(LTreeError::InvalidSpec {
@@ -216,7 +216,7 @@ pub fn register(reg: &mut SchemeRegistry) {
     let rotation: Arc<Mutex<HashMap<String, usize>>> = Arc::new(Mutex::new(HashMap::new()));
     reg.register_composite(
         "remote",
-        "client for external label server(s); args: (host:port|host:port…[,conns=N,retries=N,reconnect,timeout-ms=N,coalesce])",
+        "client for external label server(s); args: (host:port|host:port…[,conns=N,retries=N,reconnect,timeout-ms=N])",
         move |_, _, args| {
             let Some((SpecArg::Spec(addrs), rest)) = args.split_first() else {
                 return Err(LTreeError::InvalidSpec {
@@ -478,6 +478,54 @@ mod tests {
         ));
     }
 
+    /// The point-read frames protocol 3 retired (`Name`, `LabelOf`,
+    /// `FirstInOrder`, `NextInOrder`: tags 2, 3, 6 and 7) are answered
+    /// with a typed error, and the connection stays in frame sync. No
+    /// client can encode them any more, so they go out as raw frames.
+    #[test]
+    fn retired_point_read_frames_are_typed_errors_that_keep_frame_sync() {
+        use crate::wire::{
+            decode_response, encode_request, read_frame, write_frame, Request, Response,
+        };
+        let mut s = served();
+        s.bulk_build(5).unwrap();
+        let mut conn = std::net::TcpStream::connect(s.server().unwrap().local_addr()).unwrap();
+        let mut exchange = |payload: &[u8]| -> Response {
+            write_frame(&mut conn, payload).unwrap();
+            decode_response(&read_frame(&mut conn).unwrap().unwrap()).unwrap()
+        };
+        let hello = Request::Hello {
+            version: PROTOCOL_VERSION,
+        };
+        assert!(matches!(
+            exchange(&encode_request(&hello)),
+            Response::Hello {
+                version: PROTOCOL_VERSION
+            }
+        ));
+        let handle = 1u64.to_le_bytes();
+        let retired = [
+            vec![2],
+            [&[3], &handle[..]].concat(),
+            vec![6],
+            [&[7], &handle[..]].concat(),
+        ];
+        for frame in retired {
+            match exchange(&frame) {
+                Response::Err(LTreeError::Remote { context }) => {
+                    assert!(context.contains("bad request tag"), "{context}");
+                }
+                other => panic!("tag {}: expected a Remote error, got {other:?}", frame[0]),
+            }
+            assert_eq!(
+                exchange(&encode_request(&Request::LiveLen)),
+                Response::Count(5),
+                "frame sync after tag {}",
+                frame[0]
+            );
+        }
+    }
+
     #[test]
     fn connect_to_nothing_is_a_remote_error() {
         let mut reg = SchemeRegistry::with_builtin();
@@ -503,7 +551,7 @@ mod tests {
         assert_eq!(s.bulk_build(12).unwrap().len(), 12);
         // Policy options parse through the spec string.
         let mut s = reg
-            .build("served(ltree(4,2),conns=3,retries=1,coalesce)")
+            .build("served(ltree(4,2),conns=3,retries=1,reconnect)")
             .unwrap();
         assert_eq!(s.bulk_build(4).unwrap().len(), 4);
         for bad in ["served", "served()", "served(4)"] {
@@ -525,7 +573,8 @@ mod tests {
             ("served(ltree,bogus=1)", "bogus"),
             ("served(ltree,conns=many)", "conns"),
             ("served(ltree,conns=0)", "conns"),
-            ("served(ltree,coalesce=1)", "coalesce"),
+            ("served(ltree,reconnect=1)", "reconnect"),
+            ("served(ltree,coalesce)", "coalesce"),
         ] {
             match reg.build(bad) {
                 Err(LTreeError::InvalidOption { key: k, .. }) => {

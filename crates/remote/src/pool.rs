@@ -52,7 +52,7 @@ use crate::wire::{Request, Response, PROTOCOL_VERSION};
 
 /// Declarative client behavior: how many connections, how failures are
 /// handled, how long an operation may block. Spec options
-/// (`remote(host:port,conns=4,retries=2,coalesce)`) parse into this;
+/// (`remote(host:port,conns=4,retries=2,reconnect)`) parse into this;
 /// the defaults reproduce the original single-connection client.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClientPolicy {
@@ -71,11 +71,6 @@ pub struct ClientPolicy {
     /// error (and thus subject to the reconnect/retry policy).
     /// Default none (block forever).
     pub op_timeout: Option<Duration>,
-    /// Opt into the coalescing write buffer
-    /// ([`WriteBuffer`](crate::client) semantics: adjacent single-op
-    /// inserts/deletes merge into splices, flushed on any read).
-    /// Default off.
-    pub coalesce: bool,
 }
 
 impl Default for ClientPolicy {
@@ -85,14 +80,13 @@ impl Default for ClientPolicy {
             retries: 0,
             reconnect: false,
             op_timeout: None,
-            coalesce: false,
         }
     }
 }
 
 impl ClientPolicy {
     /// Parse the policy from trailing spec options: `conns=N`,
-    /// `retries=N`, `reconnect`, `timeout-ms=N`, `coalesce`. Leaves
+    /// `retries=N`, `reconnect`, `timeout-ms=N`. Leaves
     /// unknown keys in `opts` for the caller's `finish()` to reject.
     pub fn from_options(opts: &mut SpecOptions) -> Result<ClientPolicy> {
         let mut p = ClientPolicy::default();
@@ -116,7 +110,6 @@ impl ClientPolicy {
         if let Some(ms) = opts.take_u64("timeout-ms")? {
             p.op_timeout = Some(Duration::from_millis(ms));
         }
-        p.coalesce = opts.take_flag("coalesce")?;
         Ok(p)
     }
 

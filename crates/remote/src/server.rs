@@ -1,7 +1,7 @@
 //! [`LabelServer`] — a TCP server hosting one labeling scheme.
 //!
 //! The server owns any [`DynScheme`] (usually registry-built) behind an
-//! `RwLock`: reads (`label_of`, pages, stats) take the shared lock so
+//! `RwLock`: reads (pages, counts, stats) take the shared lock so
 //! concurrent connections read in parallel; writes take the exclusive
 //! lock, mirroring the trait family's `&self`/`&mut self` split.
 //! Connections are served one thread each, with request pipelining: a
@@ -12,6 +12,11 @@
 //! (also run on drop) stops the accept loop, unblocks every connection
 //! thread by shutting its socket down, and joins them all, so no thread
 //! outlives the server value.
+//!
+//! A connection whose client hung up releases its socket and thread:
+//! the accept loop joins and drops every finished connection before it
+//! registers the next one, so a long-lived server holds one registration
+//! per live connection, not one per connection ever opened.
 //!
 //! Per-connection op/byte counters are part of the server's metrics:
 //! [`LabelServer::metrics`] and the wire `Metrics` scrape both report
@@ -327,14 +332,31 @@ fn accept_loop(
             let counters = metrics.open_conn();
             std::thread::spawn(move || serve_conn(stream, scheme, metrics, counters, stop))
         };
-        conns
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .push(ConnReg {
-                stream: clone,
-                thread: Some(thread),
-            });
+        let mut conns = conns.lock().unwrap_or_else(|p| p.into_inner());
+        reap_finished(&mut conns);
+        conns.push(ConnReg {
+            stream: clone,
+            thread: Some(thread),
+        });
     }
+}
+
+/// Join and drop every connection whose thread has ended (its client
+/// hung up), releasing the registration's socket clone. Runs under the
+/// lock `shutdown` takes, so `shutdown` sees each connection either
+/// registered or already joined. Only finished threads are reaped: every
+/// thread that ever held the scheme is still joined before `into_scheme`
+/// unwraps it.
+fn reap_finished(conns: &mut Vec<ConnReg>) {
+    conns.retain_mut(|c| {
+        let finished = c.thread.as_ref().is_none_or(JoinHandle::is_finished);
+        if finished {
+            if let Some(t) = c.thread.take() {
+                let _ = t.join();
+            }
+        }
+        !finished
+    });
 }
 
 /// One connection: read frames until EOF/shutdown, answering in order.
@@ -381,6 +403,11 @@ fn serve_conn(
             break;
         }
     }
+    // Close both halves before reporting the connection gone, so a
+    // caller that waits for `net/active-conns` to drop also sees its
+    // sockets released.
+    drop(reader);
+    drop(writer);
     metrics.active_conns.add(-1);
 }
 
@@ -472,18 +499,8 @@ where
                 })
             }
         }
-        Request::Name => Response::Name(read_lock(scheme).name().to_owned()),
-        Request::LabelOf(h) => {
-            ok_or_err(read_lock(scheme).label_of(LeafHandle(h)), Response::Label)
-        }
         Request::Len => Response::Count(read_lock(scheme).len() as u64),
         Request::LiveLen => Response::Count(read_lock(scheme).live_len() as u64),
-        Request::FirstInOrder => {
-            Response::MaybeHandle(read_lock(scheme).first_in_order().map(|h| h.0))
-        }
-        Request::NextInOrder(h) => {
-            Response::MaybeHandle(read_lock(scheme).next_in_order(LeafHandle(h)).map(|h| h.0))
-        }
         Request::LabelSpaceBits => Response::Bits(read_lock(scheme).label_space_bits()),
         Request::MemoryBytes => Response::Count(read_lock(scheme).memory_bytes() as u64),
         Request::BulkBuild(n) => ok_or_err(write_lock(scheme).bulk_build(n as usize), |hs| {

@@ -3,9 +3,9 @@
 //! The wire codec ([`crate::wire`]) defines *what* travels; the transport
 //! defines *how*: it writes one encoded [`Request`] frame to a
 //! [`LabelServer`](crate::server::LabelServer)'s socket and hands back
-//! one decoded [`Response`] frame, in order. Connection pooling,
-//! reconnect policy and write coalescing sit above it, in
-//! [`crate::pool`] and [`crate::client`]. Every client reaches its server
+//! one decoded [`Response`] frame, in order. Connection pooling and
+//! reconnect policy sit above it in [`crate::pool`], the page cache in
+//! [`crate::client`]. Every client reaches its server
 //! this way: `remote(host:port)` dials an external server, and
 //! `served(inner)` dials the in-process server it binds on
 //! `127.0.0.1:0`.

@@ -26,6 +26,13 @@
 //! * **Paged reads.** [`Request::Page`] returns up to `limit`
 //!   `(handle, label)` pairs in list order, so cursor walks and
 //!   label scans cost `O(n / page)` round trips instead of `O(n)`.
+//!   It is the one order read: a client answers `label_of`,
+//!   `first_in_order` and `next_in_order` from pages, and `name`
+//!   locally, so no point-read frame exists.
+//! * **Stable tags.** A frame keeps its tag byte for life; a removed
+//!   frame's tag is never reused (request tags 2, 3, 6 and 7, response
+//!   tags 2, 3 and 5 are retired). The write-ahead log stores wire
+//!   encoded write frames, so its records keep their bytes.
 //!
 //! Every frame type round-trips exactly (`decode(encode(f)) == f`);
 //! `tests` drive that with a SplitMix64 fuzzer, error frames included.
@@ -36,8 +43,11 @@ use ltree_core::{LTreeError, Result, SchemeStats};
 /// Protocol version spoken by this build. Bump on any frame change;
 /// peers reject mismatches at the handshake.
 /// Version history: 1 — initial protocol; 2 — adds the
-/// [`Request::Metrics`] / [`Response::Metrics`] scrape frames.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// [`Request::Metrics`] / [`Response::Metrics`] scrape frames; 3 —
+/// removes the point-read requests `Name`, `LabelOf`, `FirstInOrder`
+/// and `NextInOrder` and the `Name`, `Label` and `MaybeHandle`
+/// responses only they produced.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Hard cap on a single frame's payload: fits a bulk-build response of
 /// up to [`MAX_REPLY_HANDLES`] handles, and fails fast on a corrupt
@@ -63,18 +73,10 @@ pub enum Request {
         /// The client's [`PROTOCOL_VERSION`].
         version: u32,
     },
-    /// The hosted scheme's [`name`](ltree_core::OrderedLabeling::name).
-    Name,
-    /// [`label_of`](ltree_core::OrderedLabeling::label_of).
-    LabelOf(u64),
     /// [`len`](ltree_core::OrderedLabeling::len).
     Len,
     /// [`live_len`](ltree_core::OrderedLabeling::live_len).
     LiveLen,
-    /// [`first_in_order`](ltree_core::OrderedLabeling::first_in_order).
-    FirstInOrder,
-    /// [`next_in_order`](ltree_core::OrderedLabeling::next_in_order).
-    NextInOrder(u64),
     /// [`label_space_bits`](ltree_core::OrderedLabeling::label_space_bits).
     LabelSpaceBits,
     /// [`memory_bytes`](ltree_core::OrderedLabeling::memory_bytes).
@@ -119,12 +121,8 @@ impl Request {
     pub fn name(&self) -> &'static str {
         match self {
             Request::Hello { .. } => "Hello",
-            Request::Name => "Name",
-            Request::LabelOf(_) => "LabelOf",
             Request::Len => "Len",
             Request::LiveLen => "LiveLen",
-            Request::FirstInOrder => "FirstInOrder",
-            Request::NextInOrder(_) => "NextInOrder",
             Request::LabelSpaceBits => "LabelSpaceBits",
             Request::MemoryBytes => "MemoryBytes",
             Request::BulkBuild(_) => "BulkBuild",
@@ -170,14 +168,8 @@ pub enum Response {
         /// The server's [`PROTOCOL_VERSION`].
         version: u32,
     },
-    /// A scheme name.
-    Name(String),
-    /// A label.
-    Label(u128),
     /// A count (`len`, `live_len`, `memory_bytes`, deleted-run size).
     Count(u64),
-    /// An optional handle (`first_in_order` / `next_in_order`).
-    MaybeHandle(Option<u64>),
     /// A bit width.
     Bits(u32),
     /// A single fresh handle.
@@ -304,18 +296,8 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             put_u8(&mut b, 1);
             put_u32(&mut b, *version);
         }
-        Request::Name => put_u8(&mut b, 2),
-        Request::LabelOf(h) => {
-            put_u8(&mut b, 3);
-            put_u64(&mut b, *h);
-        }
         Request::Len => put_u8(&mut b, 4),
         Request::LiveLen => put_u8(&mut b, 5),
-        Request::FirstInOrder => put_u8(&mut b, 6),
-        Request::NextInOrder(h) => {
-            put_u8(&mut b, 7);
-            put_u64(&mut b, *h);
-        }
         Request::LabelSpaceBits => put_u8(&mut b, 8),
         Request::MemoryBytes => put_u8(&mut b, 9),
         Request::BulkBuild(n) => {
@@ -407,21 +389,9 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
             put_u8(&mut b, 1);
             put_u32(&mut b, *version);
         }
-        Response::Name(s) => {
-            put_u8(&mut b, 2);
-            put_str(&mut b, s);
-        }
-        Response::Label(l) => {
-            put_u8(&mut b, 3);
-            put_u128(&mut b, *l);
-        }
         Response::Count(n) => {
             put_u8(&mut b, 4);
             put_u64(&mut b, *n);
-        }
-        Response::MaybeHandle(h) => {
-            put_u8(&mut b, 5);
-            put_opt_u64(&mut b, *h);
         }
         Response::Bits(v) => {
             put_u8(&mut b, 6);
@@ -609,12 +579,8 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request> {
     let mut b = Buf::new(bytes);
     let req = match b.u8()? {
         1 => Request::Hello { version: b.u32()? },
-        2 => Request::Name,
-        3 => Request::LabelOf(b.u64()?),
         4 => Request::Len,
         5 => Request::LiveLen,
-        6 => Request::FirstInOrder,
-        7 => Request::NextInOrder(b.u64()?),
         8 => Request::LabelSpaceBits,
         9 => Request::MemoryBytes,
         10 => Request::BulkBuild(b.u64()?),
@@ -671,10 +637,7 @@ pub fn decode_response(bytes: &[u8]) -> Result<Response> {
     let mut b = Buf::new(bytes);
     let resp = match b.u8()? {
         1 => Response::Hello { version: b.u32()? },
-        2 => Response::Name(b.str()?),
-        3 => Response::Label(b.u128()?),
         4 => Response::Count(b.u64()?),
-        5 => Response::MaybeHandle(b.opt_u64()?),
         6 => Response::Bits(b.u32()?),
         7 => Response::Handle(b.u64()?),
         8 => {
@@ -854,74 +817,67 @@ mod tests {
     }
 
     fn rand_request(rng: &mut SplitMix64) -> Request {
-        match rng.gen_range(0..20) {
+        match rng.gen_range(0..17) {
             0 => Request::Hello {
                 version: rng.next_u64() as u32,
             },
-            1 => Request::Name,
-            2 => Request::LabelOf(rng.next_u64()),
-            3 => Request::Len,
-            4 => Request::LiveLen,
-            5 => Request::FirstInOrder,
-            6 => Request::NextInOrder(rng.next_u64()),
-            7 => Request::LabelSpaceBits,
-            8 => Request::MemoryBytes,
-            9 => Request::BulkBuild(rng.next_u64()),
-            10 => Request::InsertFirst,
-            11 => Request::InsertAfter(rng.next_u64()),
-            12 => Request::InsertBefore(rng.next_u64()),
-            13 => Request::Delete(rng.next_u64()),
-            14 => Request::Splice(WireSplice::InsertAfter {
+            1 => Request::Len,
+            2 => Request::LiveLen,
+            3 => Request::LabelSpaceBits,
+            4 => Request::MemoryBytes,
+            5 => Request::BulkBuild(rng.next_u64()),
+            6 => Request::InsertFirst,
+            7 => Request::InsertAfter(rng.next_u64()),
+            8 => Request::InsertBefore(rng.next_u64()),
+            9 => Request::Delete(rng.next_u64()),
+            10 => Request::Splice(WireSplice::InsertAfter {
                 anchor: rng.next_u64(),
                 count: rng.next_u64(),
             }),
-            15 => Request::Splice(WireSplice::DeleteRun {
+            11 => Request::Splice(WireSplice::DeleteRun {
                 first: rng.next_u64(),
                 count: rng.next_u64(),
             }),
-            16 => Request::Page {
+            12 => Request::Page {
                 from: (rng.gen_bool(0.5)).then(|| rng.next_u64()),
                 limit: rng.next_u64() as u32,
             },
-            17 => Request::Stats,
-            18 => Request::Metrics,
-            _ => {
-                if rng.gen_bool(0.5) {
-                    Request::ResetStats
-                } else {
-                    Request::StatsBreakdown
-                }
-            }
+            13 => Request::Stats,
+            14 => Request::ResetStats,
+            15 => Request::StatsBreakdown,
+            _ => Request::Metrics,
         }
     }
 
     fn rand_response(rng: &mut SplitMix64) -> Response {
-        match rng.gen_range(0..14) {
+        match rng.gen_range(0..11) {
             0 => Response::Hello {
                 version: rng.next_u64() as u32,
             },
-            1 => Response::Name(rand_string(rng)),
-            2 => Response::Label((rng.next_u64() as u128) << 64 | rng.next_u64() as u128),
-            3 => Response::Count(rng.next_u64()),
-            4 => Response::MaybeHandle((rng.gen_bool(0.5)).then(|| rng.next_u64())),
-            5 => Response::Bits(rng.next_u64() as u32),
-            6 => Response::Handle(rng.next_u64()),
-            7 => {
+            1 => Response::Count(rng.next_u64()),
+            2 => Response::Bits(rng.next_u64() as u32),
+            3 => Response::Handle(rng.next_u64()),
+            4 => {
                 let n = rng.gen_range(0..40);
                 Response::Handles((0..n).map(|_| rng.next_u64()).collect())
             }
-            8 => Response::Unit,
-            9 => {
+            5 => Response::Unit,
+            6 => {
                 let n = rng.gen_range(0..20);
                 Response::Page {
                     items: (0..n)
-                        .map(|_| (rng.next_u64(), rng.next_u64() as u128))
+                        .map(|_| {
+                            (
+                                rng.next_u64(),
+                                (rng.next_u64() as u128) << 64 | rng.next_u64() as u128,
+                            )
+                        })
                         .collect(),
                     at_end: rng.gen_bool(0.5),
                 }
             }
-            10 => Response::Stats(rand_stats(rng)),
-            11 => {
+            7 => Response::Stats(rand_stats(rng)),
+            8 => {
                 let n = rng.gen_range(0..6);
                 Response::Breakdown(
                     (0..n)
@@ -929,7 +885,7 @@ mod tests {
                         .collect(),
                 )
             }
-            12 => {
+            9 => {
                 let n = rng.gen_range(0..6);
                 Response::Metrics((0..n).map(|_| rand_metric(rng)).collect())
             }
@@ -980,7 +936,17 @@ mod tests {
     fn malformed_payloads_are_typed_errors() {
         assert!(decode_request(&[]).is_err());
         assert!(decode_request(&[200]).is_err(), "unknown tag");
-        assert!(decode_request(&[3, 1, 2]).is_err(), "short handle");
+        assert!(decode_request(&[12, 1, 2]).is_err(), "short handle");
+        // Retired point-read tags are unknown, not reinterpreted.
+        for tag in [2, 3, 6, 7] {
+            assert!(decode_request(&[tag]).is_err(), "retired request tag {tag}");
+        }
+        for tag in [2, 3, 5] {
+            assert!(
+                decode_response(&[tag]).is_err(),
+                "retired response tag {tag}"
+            );
+        }
         let mut ok = encode_request(&Request::Len);
         ok.push(0);
         assert!(decode_request(&ok).is_err(), "trailing bytes");
@@ -990,8 +956,9 @@ mod tests {
             decode_response(&[14, 1, 0, 0, 0, 0, 0, 0, 0, 9]).is_err(),
             "bad metric kind tag"
         );
+        // Error frame, `Remote` variant, a 4-byte context that is not UTF-8.
         assert!(
-            decode_response(&[2, 4, 0, 0, 0, 0xff, 0xfe, 0x01, 0x02]).is_err(),
+            decode_response(&[13, 7, 4, 0, 0, 0, 0xff, 0xfe, 0x01, 0x02]).is_err(),
             "bad utf8"
         );
     }
@@ -1000,7 +967,7 @@ mod tests {
     fn framing_roundtrips_and_rejects_oversize() {
         let mut buf = Vec::new();
         let a = encode_request(&Request::Stats);
-        let b = encode_request(&Request::LabelOf(7));
+        let b = encode_request(&Request::Delete(7));
         write_frame(&mut buf, &a).unwrap();
         write_frame(&mut buf, &b).unwrap();
         let mut r = &buf[..];

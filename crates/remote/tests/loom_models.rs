@@ -21,7 +21,10 @@
 //!    connection accepted concurrently with the first signaling pass may
 //!    register *after* that pass ran; the second pass catches it. The
 //!    seeded-bug variant drops the second pass and the explorer exhibits
-//!    the lost-connection deadlock.
+//!    the lost-connection deadlock. The accept loop also reaps
+//!    connections whose client hung up (`reap_finished`) in the same
+//!    locked step that registers the next one; the model proves a reap
+//!    only ever joins a finished thread and loses nothing.
 //!
 //! The models compile and run under plain `cargo test` with small
 //! bounds; `RUSTFLAGS="--cfg loom" cargo test --release` widens them
@@ -446,7 +449,11 @@ struct ConnState {
     registered: bool,
     /// Socket shut down by a signaling pass — unblocks the read.
     signaled: bool,
+    /// The client closed its end: the read saw EOF.
+    hung_up: bool,
     finished: bool,
+    /// Joined and dropped by the accept loop before shutdown.
+    reaped: bool,
 }
 
 /// Shared state mirroring `LabelServer`: the `stop` flag, the accept
@@ -475,7 +482,8 @@ impl Thread<ServerWorld> for Connector {
 /// `stop` flag is checked, and only then is the connection registered —
 /// the registration is a *separate* step, so it can interleave after
 /// shutdown's first signaling pass (the race the second pass exists
-/// for).
+/// for). Registering first reaps every finished connection, in the same
+/// step because the real code holds the conns lock for both.
 #[derive(Debug, Clone)]
 enum Acceptor {
     Waiting { next: usize },
@@ -499,6 +507,9 @@ impl Thread<ServerWorld> for Acceptor {
                 Step::Ran
             }
             Acceptor::Registering { next } => {
+                for c in w.conns.iter_mut().filter(|c| c.registered && c.finished) {
+                    c.reaped = true;
+                }
                 w.conns[next].registered = true;
                 *self = Acceptor::Waiting { next: next + 1 };
                 Step::Ran
@@ -508,12 +519,13 @@ impl Thread<ServerWorld> for Acceptor {
 }
 
 /// One `serve_conn` thread: not schedulable until registered, serves a
-/// few requests, then sits in a blocking read that only the socket
-/// shutdown (signal) can unblock.
+/// few requests, then either sees its client hang up (EOF) or sits in a
+/// blocking read that only the socket shutdown (signal) can unblock.
 #[derive(Debug, Clone)]
 struct ServeConn {
     index: usize,
     requests_left: u32,
+    hangs_up: bool,
 }
 
 impl Thread<ServerWorld> for ServeConn {
@@ -534,6 +546,11 @@ impl Thread<ServerWorld> for ServeConn {
         if self.requests_left > 0 {
             self.requests_left -= 1;
             return Step::Ran;
+        }
+        if self.hangs_up {
+            w.conns[self.index].hung_up = true;
+            w.conns[self.index].finished = true;
+            return Step::Done;
         }
         Step::Blocked // blocking read; only shutdown() unblocks it
     }
@@ -601,7 +618,14 @@ impl Thread<ServerWorld> for Shutdown {
     }
 }
 
-fn shutdown_model(conns: usize, requests: u32, two_pass: bool) -> Result<Explored, Violation> {
+/// `conns` connections, each serving `requests` requests; every one but
+/// the last is closed by its client, so the accept loop may reap it.
+/// Returns the exploration and whether any schedule reaped.
+fn shutdown_model(
+    conns: usize,
+    requests: u32,
+    two_pass: bool,
+) -> Result<(Explored, bool), Violation> {
     #[derive(Clone)]
     enum T {
         C(Connector),
@@ -625,6 +649,7 @@ fn shutdown_model(conns: usize, requests: u32, two_pass: bool) -> Result<Explore
         threads.push(T::S(ServeConn {
             index: i,
             requests_left: requests,
+            hangs_up: i + 1 < conns,
         }));
     }
     threads.push(T::A(Acceptor::Waiting { next: 0 }));
@@ -635,17 +660,23 @@ fn shutdown_model(conns: usize, requests: u32, two_pass: bool) -> Result<Explore
         accept_done: false,
         conns: vec![ConnState::default(); conns],
     };
-    Explorer::default().run(&world, &threads, |w| {
+    let reaped = std::cell::Cell::new(false);
+    let explored = Explorer::default().run(&world, &threads, |w| {
         if !w.accept_done {
             return Err("accept loop still running after shutdown".into());
         }
         for (i, c) in w.conns.iter().enumerate() {
-            if c.registered && !(c.signaled && c.finished) {
+            if c.registered && !(c.finished && (c.signaled || c.hung_up)) {
                 return Err(format!("connection {i} lost: {c:?}"));
             }
+            if c.reaped && !c.finished {
+                return Err(format!("connection {i} reaped while running: {c:?}"));
+            }
+            reaped.set(reaped.get() || c.reaped);
         }
         Ok(())
-    })
+    })?;
+    Ok((explored, reaped.get()))
 }
 
 #[cfg(not(loom))]
@@ -655,8 +686,9 @@ const SHUTDOWN_REQUESTS: u32 = 3;
 
 #[test]
 fn two_pass_shutdown_loses_no_connection() {
-    let explored = shutdown_model(1, SHUTDOWN_REQUESTS, true).unwrap();
+    let (explored, reaped) = shutdown_model(2, SHUTDOWN_REQUESTS, true).unwrap();
     assert!(explored.schedules > 50, "trivial model: {explored:?}");
+    assert!(reaped, "no schedule reaped a hung-up connection");
 }
 
 #[test]
@@ -666,7 +698,7 @@ fn single_pass_shutdown_deadlocks_on_the_registration_race() {
     // the stop check, shutdown's first pass signals (nothing registered
     // yet), the connection registers, its read blocks forever — and so
     // does the join.
-    let err = shutdown_model(1, SHUTDOWN_REQUESTS, false).unwrap_err();
+    let err = shutdown_model(2, SHUTDOWN_REQUESTS, false).unwrap_err();
     match err {
         Violation::Deadlock { blocked, schedule } => {
             assert!(!blocked.is_empty());

@@ -134,6 +134,27 @@ impl VirtualLTree {
         }
     }
 
+    /// Room for `k` more items, or [`LTreeError::CapacityExceeded`]
+    /// before anything changes — the mirror of the materialized tree's
+    /// leaf reservation: the total must fit the `u32` item index space
+    /// (so the `as u32` index casts below cannot truncate), and the item
+    /// table and the returned handle vector (empty, with capacity `k`)
+    /// are reserved up front.
+    fn reserve_items(&mut self, k: usize) -> Result<Vec<LeafHandle>> {
+        let requested = k as u64;
+        let exceeded = LTreeError::CapacityExceeded { requested };
+        match (self.items.len() as u64).checked_add(requested) {
+            Some(total) if total <= u64::from(u32::MAX) => {}
+            _ => return Err(exceeded),
+        }
+        let mut handles = Vec::new();
+        self.items
+            .try_reserve(k)
+            .and_then(|()| handles.try_reserve_exact(k))
+            .map_err(|_| exceeded)?;
+        Ok(handles)
+    }
+
     fn count_range(&mut self, lo: u128, hi: u128) -> u64 {
         self.range_probes += 1;
         self.tree.count_range(lo, hi) as u64
@@ -147,6 +168,7 @@ impl VirtualLTree {
         if k == 0 {
             return Err(LTreeError::EmptyBatch);
         }
+        let mut new_handles = self.reserve_items(k)?;
         let params = self.params;
         let base = params.base();
         let k64 = k as u64;
@@ -171,9 +193,7 @@ impl VirtualLTree {
                 alive: true,
             });
         }
-        let new_handles: Vec<LeafHandle> = (0..k as u64)
-            .map(|j| LeafHandle(u64::from(first_idx) + j))
-            .collect();
+        new_handles.extend((0..k as u64).map(|j| LeafHandle(u64::from(first_idx) + j)));
         let new_indices: Vec<u32> = (0..k as u32).map(|j| first_idx + j).collect();
         self.stats.inserts += k64;
         self.n_live += k64;
@@ -478,10 +498,10 @@ impl OrderedLabelingMut for VirtualLTree {
         if !self.items.is_empty() || !self.tree.is_empty() {
             return Err(LTreeError::NotEmpty);
         }
+        let mut out = self.reserve_items(n)?;
         let (height, labels) = ltree_core::layout::bulk_load_labels(&self.params, n as u64)?;
         self.height = height;
         let mut batch = Vec::with_capacity(n);
-        let mut out = Vec::with_capacity(n);
         for (j, label) in labels.into_iter().enumerate() {
             self.items.push(VItem {
                 label,

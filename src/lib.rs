@@ -155,7 +155,7 @@ pub mod rel {
 /// `served(traced(ltree(4,2)))` (a label server whose per-op latency
 /// histograms are scrapable over the wire `Metrics` request). The
 /// remote client options (`conns=4`,
-/// `retries=2`, `reconnect`, `timeout-ms=500`, `coalesce`) configure a
+/// `retries=2`, `reconnect`, `timeout-ms=500`) configure a
 /// [`ltree_remote::ClientPolicy`]; `remote` also accepts a
 /// `|`-separated address list, rotated across builds, so
 /// `sharded(n,remote(a|b|…))` — the spec a

@@ -100,7 +100,7 @@ fn numeric_argument_validation_is_typed() {
     ));
 }
 
-/// The `key=value` option syntax (`remote(addr,conns=4,coalesce)`):
+/// The `key=value` option syntax (`remote(addr,conns=4,reconnect)`):
 /// unknown and malformed options are [`LTreeError::InvalidOption`]
 /// errors that *name the offending key* and point at the spec-grammar
 /// table in ARCHITECTURE.md — never a silent no-op, never a vague
@@ -118,7 +118,7 @@ fn option_errors_name_the_key_and_point_at_the_grammar_table() {
         ("served(ltree,retries=-1)", "retries"),
         ("served(ltree,timeout-ms=soon)", "timeout-ms"),
         // A flag given a value, and a valued key used bare.
-        ("served(ltree,coalesce=1)", "coalesce"),
+        ("served(ltree,reconnect=1)", "reconnect"),
         ("served(ltree,conns)", "conns"),
         // Duplicates.
         ("served(ltree,conns=2,conns=3)", "conns"),
@@ -134,6 +134,23 @@ fn option_errors_name_the_key_and_point_at_the_grammar_table() {
         let msg = err.to_string();
         assert!(msg.contains(key), "{spec}: {msg}");
         assert!(msg.contains("ARCHITECTURE.md"), "{spec}: {msg}");
+    }
+}
+
+/// The client has no write-behind buffer, so `coalesce` is an unknown
+/// option on both client specs, named as the offending key.
+#[test]
+fn coalesce_is_an_unknown_client_option() {
+    let server = LabelServer::bind("127.0.0.1:0", build("ltree(4,2)").unwrap()).unwrap();
+    for spec in [
+        "served(ltree(4,2),coalesce)".to_owned(),
+        format!("remote({},coalesce)", server.local_addr()),
+    ] {
+        match build(&spec) {
+            Err(LTreeError::InvalidOption { key, .. }) => assert_eq!(key, "coalesce", "{spec}"),
+            Err(other) => panic!("{spec}: expected InvalidOption, got {other}"),
+            Ok(_) => panic!("{spec} built"),
+        }
     }
 }
 
@@ -210,8 +227,8 @@ fn option_syntax_builds_when_well_formed() {
     for spec in [
         "served(ltree(4,2),conns=2)",
         "served(ltree(4,2),conns=2,retries=1,reconnect,timeout-ms=2000)",
-        "served(gap,coalesce)",
-        "served( ltree(4,2) , conns=2 , coalesce )",
+        "served(gap,reconnect)",
+        "served( ltree(4,2) , conns=2 , reconnect )",
         "sharded(2,served(ltree(4,2),conns=2))",
     ] {
         let mut s = build(spec).unwrap_or_else(|e| panic!("{spec}: {e}"));

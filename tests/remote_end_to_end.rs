@@ -146,18 +146,15 @@ fn ten_thousand_element_document_loads_in_constant_trips() {
     );
 }
 
-/// A `Document` over a pooled + coalescing client matches its local
-/// twin through the same edits — provisional handles, buffer flushes
-/// and the page cache are all invisible to the XML layer.
+/// A `Document` over a pooled client matches its local twin through the
+/// same edits — reads spread over two connections and the page cache
+/// are invisible to the XML layer.
 #[test]
-fn document_over_coalescing_pooled_client_matches_local() {
+fn document_over_pooled_client_matches_local() {
     let tree = generate(&book_catalog_profile(250), 31);
     let text = ltree::xml::to_string(&tree).unwrap();
-    let mut remote = Document::parse_str(
-        &text,
-        Scheme::build("served(ltree(4,2),conns=2,coalesce)").unwrap(),
-    )
-    .unwrap();
+    let mut remote =
+        Document::parse_str(&text, Scheme::build("served(ltree(4,2),conns=2)").unwrap()).unwrap();
     let mut local = Document::parse_str(&text, Scheme::build("ltree(4,2)").unwrap()).unwrap();
     remote.validate().unwrap();
     let edit = |d: &mut Document<Box<dyn DynScheme>>| {

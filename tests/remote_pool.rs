@@ -1,4 +1,4 @@
-//! Pool, policy and coalescing coverage for the remote client redesign:
+//! Pool and policy coverage for the remote client:
 //!
 //! * K reader threads spread over >1 pooled connection (pinned via the
 //!   server's per-connection `net/conn<i>` counters), exercising the
@@ -6,11 +6,7 @@
 //! * fault injection: the server is killed and restarted mid-session on
 //!   the *same state*, and a `ClientPolicy` with reconnect+retries
 //!   carries the session across — with no stale cache reads;
-//! * the coalescing write buffer: a 10k-op per-op edit session with
-//!   `coalesce` takes two orders of magnitude fewer round trips than
-//!   the plain single-connection client, while producing the same list;
-//! * provisional handles: coalesced inserts hand out handles that stay
-//!   valid forever, across flushes and in every read path.
+//! * `remote(a|b|c)` rotation puts one segment on each server.
 //!
 //! Every server binds port 0 and plumbs the OS-chosen port back through
 //! `LabelServer::local_addr()` — no fixed ports anywhere.
@@ -18,18 +14,6 @@
 use ltree::prelude::*;
 use ltree::remote::ClientPolicy;
 use ltree::LTreeError;
-
-/// Client round trips so far, via the `net/round-trips` metric counter.
-/// The read itself costs one trip, included.
-fn round_trips(s: &dyn DynScheme) -> u64 {
-    s.metrics()
-        .iter()
-        .find_map(|m| match m.value {
-            ltree::MetricValue::Counter(v) if m.name == "net/round-trips" => Some(v),
-            _ => None,
-        })
-        .expect("remote schemes expose net/round-trips")
-}
 
 fn ltree() -> Box<dyn DynScheme> {
     Scheme::build("ltree(4,2)").unwrap()
@@ -248,160 +232,6 @@ fn default_policy_stays_fail_fast() {
         Err(LTreeError::Remote { .. })
     ));
     assert_eq!(client.transport_stats().reconnects, 0);
-}
-
-/// The acceptance pin for coalescing: an identical 10k-op **per-op**
-/// edit session (chained single inserts, then adjacent single deletes)
-/// costs two orders of magnitude fewer round trips with `coalesce` than
-/// the plain `conns=1` client — measured via `net/round-trips` — while
-/// ending in the same list.
-#[test]
-fn coalescing_cuts_round_trips_of_per_op_sessions() {
-    let session = |spec: &str| -> (u64, usize, bool) {
-        let mut s = Scheme::build(spec).unwrap();
-        let mut cur = s.insert_first().unwrap();
-        for _ in 0..9_499 {
-            cur = s.insert_after(cur).unwrap();
-        }
-        // A full read (flushes any backlog, walks the list page-wise)…
-        let live: Vec<LeafHandle> = s.cursor().collect();
-        assert_eq!(live.len(), 9_500);
-        // …then 500 per-op deletes in list order, no reads interleaved.
-        for &h in &live[..500] {
-            s.delete(h).unwrap();
-        }
-        let len = s.live_len();
-        // Measure here: both sessions pay the same page-walk cost for
-        // the validation below, which would only dilute the comparison.
-        let rtt = round_trips(&*s);
-        // Order contract still holds through the buffer.
-        let mut prev = None;
-        let mut increasing = true;
-        for h in s.cursor().collect::<Vec<_>>() {
-            let l = s.label_of(h).unwrap();
-            increasing &= prev.is_none_or(|p| p < l);
-            prev = Some(l);
-        }
-        (rtt, len, increasing)
-    };
-
-    let (plain_rtt, plain_len, plain_incr) = session("served(ltree(4,2))");
-    let (coal_rtt, coal_len, coal_incr) = session("served(ltree(4,2),coalesce)");
-    assert_eq!(plain_len, 9_000);
-    assert_eq!(coal_len, 9_000);
-    assert!(plain_incr);
-    assert!(coal_incr);
-    assert!(
-        plain_rtt >= 10_000,
-        "the per-op client pays one trip per op ({plain_rtt})"
-    );
-    assert!(
-        coal_rtt * 100 <= plain_rtt,
-        "coalescing must amortize at least 100x ({coal_rtt} vs {plain_rtt})"
-    );
-}
-
-/// Provisional handles are real handles to the caller: usable as
-/// anchors before the flush, resolvable in every read path after it,
-/// and stable for the client's lifetime.
-#[test]
-fn provisional_handles_survive_flushes_and_all_read_paths() {
-    let mut s = RemoteScheme::served_with(
-        ltree(),
-        ClientPolicy {
-            coalesce: true,
-            ..ClientPolicy::default()
-        },
-    )
-    .unwrap();
-    let hs = s.bulk_build(8).unwrap();
-    // Buffered: a chained run, a batch extension, and a mid-run anchor.
-    let a = s.insert_after(hs[3]).unwrap();
-    let b = s.insert_after(a).unwrap();
-    let batch = s.insert_many_after(b, 3).unwrap();
-    let mid = s.insert_after(a).unwrap(); // anchors inside the pending run
-    assert_eq!(s.live_len(), 14, "len flushes the backlog");
-    // Every handle minted above reads back in order: hs[3] < a < mid < b.
-    let (la, lb) = (s.label_of(a).unwrap(), s.label_of(b).unwrap());
-    let lmid = s.label_of(mid).unwrap();
-    assert!(s.label_of(hs[3]).unwrap() < la);
-    assert!(la < lmid && lmid < lb);
-    assert!(lb < s.label_of(batch[0]).unwrap());
-    // Provisionals keep working as anchors *after* the flush too.
-    let c = s.insert_after(batch[2]).unwrap();
-    s.delete(c).unwrap();
-    s.flush().unwrap();
-    assert_eq!(s.live_len(), 14);
-    // A second delete of the (flushed) provisional surfaces the
-    // server's tombstone error at the next flush.
-    s.delete(c).unwrap();
-    assert!(matches!(s.flush(), Err(LTreeError::DeletedLeaf)));
-    // The cursor and next_in_order present items under the provisional
-    // names the caller holds — one name per item, everywhere.
-    assert_eq!(s.next_in_order(a), Some(mid));
-    assert_eq!(s.next_in_order(mid), Some(b));
-    let walked: Vec<LeafHandle> = s.cursor().collect();
-    assert!(walked.contains(&a) && walked.contains(&mid) && walked.contains(&batch[1]));
-}
-
-/// Delete-run extension must not trust cached adjacency once an insert
-/// is pending: the insert lands first at flush and would sit inside the
-/// cached successor gap, so a naive run extension would delete the
-/// fresh item instead of the one the caller named.
-#[test]
-fn coalesced_deletes_respect_pending_inserts() {
-    let mut s = RemoteScheme::served_with(
-        ltree(),
-        ClientPolicy {
-            coalesce: true,
-            ..ClientPolicy::default()
-        },
-    )
-    .unwrap();
-    let hs = s.bulk_build(8).unwrap();
-    // Prime the cache so hs[2] → hs[3] adjacency is known.
-    s.label_of(hs[2]).unwrap();
-    // Queue: insert after hs[2], then delete hs[2] and its (cached)
-    // successor hs[3]. The new item must survive; hs[2] and hs[3] die.
-    let fresh = s.insert_after(hs[2]).unwrap();
-    s.delete(hs[2]).unwrap();
-    s.delete(hs[3]).unwrap();
-    s.flush().unwrap();
-    assert_eq!(s.live_len(), 7);
-    assert!(
-        s.label_of(fresh).is_ok(),
-        "the buffered insert must survive"
-    );
-    // The named items are tombstoned — re-deleting them is the probe
-    // (the cursor yields tombstones by contract, so it can't be used):
-    for doomed in [hs[2], hs[3]] {
-        s.delete(doomed).unwrap();
-        assert!(
-            matches!(s.flush(), Err(LTreeError::DeletedLeaf)),
-            "{doomed:?} must already be deleted"
-        );
-    }
-    // And the fresh item is genuinely alive: deleting it works.
-    s.delete(fresh).unwrap();
-    s.flush().unwrap();
-    assert_eq!(s.live_len(), 6);
-}
-
-/// A buffered write whose error can only surface at flush surfaces it
-/// on the *triggering read*, with earlier backlog entries applied (the
-/// same prefix contract as `pipeline_splices`).
-#[test]
-fn coalesced_errors_surface_at_flush_with_prefix_applied() {
-    let mut s = Scheme::build("served(ltree(4,2),coalesce)").unwrap();
-    let hs = s.bulk_build(4).unwrap();
-    let good = s.insert_after(hs[0]).unwrap();
-    // A bogus anchor is accepted into the buffer...
-    let _bad = s.insert_after(LeafHandle(u64::MAX - 1)).unwrap();
-    // ...and explodes at the flush a read triggers.
-    assert!(matches!(s.label_of(hs[1]), Err(LTreeError::UnknownHandle)));
-    // The good prefix was applied; the session keeps working.
-    assert_eq!(s.live_len(), 5);
-    assert!(s.label_of(good).is_ok());
 }
 
 /// `remote(a|b|c)` rotation: consecutive builds of the same address
