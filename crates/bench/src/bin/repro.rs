@@ -15,9 +15,10 @@
 //! `sweep` cross-products every registered scheme spec with the five
 //! standard workload shapes, prints the comparison table and writes the
 //! machine-readable `BENCH_sweep.json` (schema in `crates/bench/README.md`).
-//! With `--baseline`, the run exits non-zero when any cell errors or
-//! when an L-Tree-family cell's label-write count exceeds
-//! `--max-regress` (default 2.0) times the baseline's. `--summary PATH`
+//! With `--baseline`, the run exits non-zero when any cell errors, when
+//! an L-Tree-family cell's label-write count exceeds `--max-regress`
+//! (default 2.0) times the baseline's, or when its `memory_bytes`
+//! exceeds the baseline's (no ratio: it repeats exactly). `--summary PATH`
 //! additionally writes just the markdown table to `PATH` — CI appends it
 //! to `$GITHUB_STEP_SUMMARY` so the comparison shows on the PR itself,
 //! not only in the artifact.

@@ -489,8 +489,8 @@ pub fn x9(scale: Scale) -> Vec<Table> {
     t.note("Labels are verified identical between the two variants on every size, by");
     t.note("streaming both label sequences off the schemes' cursors.");
     t.note("Memory is buffer capacity. Materialized, that is one 32-B record per leaf and");
-    t.note("one 48-B record per interior node: above virtual at the quick sizes, below it");
-    t.note("at n = 100000 (--full).");
+    t.note("one 24-B record per interior node (numbers are derived, not stored): below");
+    t.note("virtual at every size.");
     for &n in sizes {
         let ops = (n / 2).max(1_000);
         let script = generate_edits(UNIFORM, n, ops, 23);

@@ -16,10 +16,11 @@
 //! Results render as the usual markdown table *and* serialize to the
 //! versioned `BENCH_sweep.json` (schema documented in
 //! `crates/bench/README.md`) that CI uploads as an artifact and diffs
-//! against the checked-in `BENCH_baseline.json`: any errored cell or an
+//! against the checked-in `BENCH_baseline.json`: any errored cell, an
 //! L-Tree relabel count more than `max_ratio` (default 2×) above the
-//! baseline fails the build, so the perf trajectory is tracked by the
-//! machine instead of by eyeballing terminal tables.
+//! baseline, or an L-Tree `memory_bytes` above the baseline's fails the
+//! build, so the perf trajectory is tracked by the machine instead of by
+//! eyeballing terminal tables.
 
 use crate::json::Json;
 use crate::table::{f, Table};
@@ -788,11 +789,13 @@ impl SweepReport {
 /// Compare a fresh sweep against a checked-in baseline: for every
 /// L-Tree-family cell (spec starting with `ltree`, `virtual`, `sharded`
 /// or `served`) present in both, the current **label-write count** must
-/// not exceed
-/// `max_ratio ×` the baseline's. Counter columns are seeded and
-/// deterministic, so the 2× default only trips on genuine regressions
-/// (wall-clock fields are deliberately ignored). Returns the list of
-/// violations, empty when the sweep is clean.
+/// not exceed `max_ratio ×` the baseline's, and its **`memory_bytes`**
+/// must not exceed the baseline's at all. Counter columns are seeded and
+/// deterministic, so the 2× default only trips on genuine regressions;
+/// `memory_bytes` counts buffer capacity after the same seeded script, so
+/// it repeats exactly and needs no ratio (wall-clock fields are
+/// deliberately ignored). Returns the list of violations, empty when the
+/// sweep is clean.
 pub fn compare_with_baseline(
     current: &SweepReport,
     baseline: &SweepReport,
@@ -819,6 +822,12 @@ pub fn compare_with_baseline(
                     problems.push(format!(
                         "{} × {} × n={}: label writes {} exceed {max_ratio}× baseline {}",
                         cur.spec, cur.workload, cur.n, c.label_writes, b.label_writes
+                    ));
+                }
+                if c.memory_bytes > b.memory_bytes {
+                    problems.push(format!(
+                        "{} × {} × n={}: memory {} B exceeds baseline {} B",
+                        cur.spec, cur.workload, cur.n, c.memory_bytes, b.memory_bytes
                     ));
                 }
             }
@@ -1122,6 +1131,21 @@ mod tests {
         assert!(compare_with_baseline(&broken, &base, 2.0)
             .iter()
             .any(|p| p.contains("boom")));
+        // Memory has no ratio: one byte over the baseline is a regression.
+        let mut bigger = base.clone();
+        for c in &mut bigger.cells {
+            if let Ok(m) = &mut c.outcome {
+                m.memory_bytes += 1;
+            }
+        }
+        let problems = compare_with_baseline(&bigger, &base, 2.0);
+        assert!(
+            !problems.is_empty()
+                && problems
+                    .iter()
+                    .all(|p| p.contains("memory") && p.contains("ltree")),
+            "only L-Tree-family memory is gated: {problems:?}"
+        );
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //! states or that the implementation relies on. Each failure message
 //! starts with the number and name of the check it broke:
 //!
-//! 1. **root** — the root is an interior record with `num = 0` and no
-//!    parent;
+//! 1. **root** — the root is an interior record with no parent;
 //! 2. **height** — the root's height is the tree's, and heights decrease
 //!    by exactly one along every edge, so all leaves sit at depth `H`
 //!    (paper, Proposition 2.3);
@@ -14,10 +13,12 @@
 //!    stored fanout matches its child list, and fanout never exceeds `f`
 //!    (paper, Proposition 2.2 — the transient `f`-fanout state is
 //!    resolved within the same operation);
-//! 5. **labeling** — the global labeling invariant
-//!    `num(child_i) = num(parent) + i · B^{h(child)}`, the property that
-//!    makes the virtual L-Tree (Section 4.2) possible; with checks 1 and
-//!    4 it makes leaf labels strictly increase;
+//! 5. **labeling** — every leaf label is the number the global labeling
+//!    invariant `num(child_i) = num(parent) + i · B^{h(child)}` derives
+//!    top-down from the root's 0, the property that makes the virtual
+//!    L-Tree (Section 4.2) possible; with check 4 it makes leaf labels
+//!    strictly increase. Interior records store no number, so this is
+//!    also what lets the write path derive one from a leaf label;
 //! 6. **leaf count** — each interior record's leaf count is the sum over
 //!    its children and strictly below the split threshold `s · a^h`
 //!    (the criterion is restored by the end of each operation);
@@ -25,7 +26,7 @@
 //!    structure;
 //! 8. **leak** — every record is reachable from the root or on its
 //!    pool's free list, and free leaf records are marked free;
-//! 9. **label space** — every label fits the label space `[0, B^H)`.
+//! 9. **label space** — every leaf label fits the label space `[0, B^H)`.
 
 use crate::store::{Store, NIL};
 use crate::tree::LTree;
@@ -82,12 +83,6 @@ pub fn check(tree: &LTree) -> Result<(), InvariantError> {
         .ok_or_else(|| violation(1, format!("root record {root} out of range")))?;
     ensure!(1, root_node.parent == NIL, "root must have no parent");
     ensure!(
-        1,
-        root_node.num == 0,
-        "root must be numbered 0, found {}",
-        root_node.num
-    );
-    ensure!(
         2,
         root_node.height == tree.height(),
         "stored height {} != root height {}",
@@ -99,8 +94,9 @@ pub fn check(tree: &LTree) -> Result<(), InvariantError> {
     let mut nodes_seen = 1usize;
     let mut leaves_seen = 0u64;
     let mut live_seen = 0u64;
-    let mut stack = vec![root];
-    while let Some(id) = stack.pop() {
+    // Each record with the number the labeling invariant gives it.
+    let mut stack = vec![(root, 0u128)];
+    while let Some((id, num)) = stack.pop() {
         let node = store.node(id);
         ensure!(2, node.height >= 1, "interior record at height 0");
         ensure!(
@@ -119,7 +115,7 @@ pub fn check(tree: &LTree) -> Result<(), InvariantError> {
         let threshold = params.split_threshold(node.height);
         ensure!(
             6,
-            node.leaf_count < threshold,
+            u64::from(node.leaf_count) < threshold,
             "leaf count {} at height {} reached split threshold {}",
             node.leaf_count,
             node.height,
@@ -138,20 +134,20 @@ pub fn check(tree: &LTree) -> Result<(), InvariantError> {
                 node.fanout,
                 node.height
             );
-            // In range: `num(parent) < B^H` and `i < f < B`.
-            let expect = node.num + u128::from(i) * interval;
-            let (parent, height, num, next) = if node.height == 1 {
+            // In range: `num < B^H` and `i < f < B`.
+            let expect = num + u128::from(i) * interval;
+            let (parent, height, label, next) = if node.height == 1 {
                 let leaf = store.leaves.get(c as usize).ok_or_else(|| dangling(c))?;
                 leaves_seen += 1;
                 live_seen += u64::from(!leaf.is_deleted());
                 sum += 1;
-                (leaf.parent, 0, leaf.label, leaf.next)
+                (leaf.parent, 0, Some(leaf.label), leaf.next)
             } else {
                 let child = store.nodes.get(c as usize).ok_or_else(|| dangling(c))?;
                 nodes_seen += 1;
-                sum += child.leaf_count;
-                stack.push(c);
-                (child.parent, child.height, child.num, child.next)
+                sum += u64::from(child.leaf_count);
+                stack.push((c, expect));
+                (child.parent, child.height, None, child.next)
             };
             ensure!(
                 3,
@@ -165,17 +161,18 @@ pub fn check(tree: &LTree) -> Result<(), InvariantError> {
                 height,
                 node.height
             );
-            ensure!(9, num < space, "num {num} outside label space {space}");
-            ensure!(
-                5,
-                num == expect,
-                "child {} of node num={} h={} has num {}, expected {}",
-                i,
-                node.num,
-                node.height,
-                num,
-                expect
-            );
+            if let Some(label) = label {
+                ensure!(
+                    9,
+                    label < space,
+                    "label {label} outside label space {space}"
+                );
+                ensure!(
+                    5,
+                    label == expect,
+                    "leaf {i} of node num={num} has label {label}, expected {expect}"
+                );
+            }
             (c, i) = (next, i + 1);
         }
         ensure!(
@@ -187,7 +184,7 @@ pub fn check(tree: &LTree) -> Result<(), InvariantError> {
         );
         ensure!(
             6,
-            sum == node.leaf_count,
+            sum == u64::from(node.leaf_count),
             "leaf_count {} != sum of children {}",
             node.leaf_count,
             sum
@@ -294,9 +291,9 @@ mod tests {
     }
 
     #[test]
-    fn check_1_fires_on_a_root_not_numbered_0() {
-        fires("check 1 (root)", |store, _, root| {
-            store.node_mut(root).num = 1;
+    fn check_1_fires_on_a_root_with_a_parent() {
+        fires("check 1 (root)", |store, first, root| {
+            store.node_mut(root).parent = store.leaf(first).parent;
         });
     }
 
@@ -337,6 +334,17 @@ mod tests {
     fn check_5_fires_on_a_child_num_off_by_one() {
         fires("check 5 (labeling)", |store, first, _| {
             store.leaf_mut(first).label += 1;
+        });
+    }
+
+    /// Every label consistent with its siblings, but not with a root
+    /// numbered 0.
+    #[test]
+    fn check_5_fires_when_every_label_is_shifted() {
+        fires("check 5 (labeling)", |store, _, _| {
+            for leaf in &mut store.leaves {
+                leaf.label += 1;
+            }
         });
     }
 

@@ -6,7 +6,8 @@
 //! amortized cost with the paper's closed-form bound.
 
 /// Running counters for one [`crate::LTree`]. All counters are cumulative
-/// since the last [`reset`](Stats::reset).
+/// since the last [`reset`](Stats::reset); a rejected operation counts
+/// nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Stats {
     /// Number of single-leaf insert operations.
@@ -22,8 +23,10 @@ pub struct Stats {
     pub count_updates: u64,
     /// Number of relabel events (suffix relabels + subtree relabels).
     pub relabel_events: u64,
-    /// Total nodes whose `num` was rewritten. This is the paper's headline
-    /// "number of relabelings" quantity.
+    /// Total node numbers `num(v)` a relabel assigned. This is the
+    /// paper's headline "number of relabelings" quantity, so it counts
+    /// interior nodes' numbers too, although only leaf labels are stored
+    /// (an interior number is implied by the labels below it).
     pub nodes_relabeled: u64,
     /// Subset of `nodes_relabeled` that were leaves — i.e. labels visible
     /// to the document layer. This is the unit that is comparable across

@@ -1,7 +1,10 @@
 //! The materialized L-Tree's storage: two pools of fixed-size records.
 //!
-//! A [`LeafRec`] (32 B) holds one label; an [`InteriorRec`] (48 B) holds
-//! a node's number, leaf count and links. Children are a
+//! A [`LeafRec`] (32 B) holds one label; an [`InteriorRec`] (24 B) holds
+//! a node's leaf count, height and links, but no number: the labeling
+//! invariant makes an interior node's number any leaf label below it
+//! rounded down to a multiple of `B^h`, so the tree derives the numbers
+//! it needs (see `LTree::insert_leaves_at`). Children are a
 //! first-child/next-sibling list, so no record owns a heap allocation,
 //! and a node may briefly hold more than `f` children mid-operation (a
 //! batch spliced into a height-1 node, a cascade's parent) without any
@@ -64,14 +67,13 @@ impl LeafRec {
     }
 }
 
-/// One interior node. 48 B.
+/// One interior node. 24 B.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct InteriorRec {
-    /// The node's number `num(v)`.
-    pub(crate) num: u128,
     /// `L(v)`: leaf descendants, tombstones included. Drives the split
-    /// criterion.
-    pub(crate) leaf_count: u64,
+    /// criterion. Fits `u32`: the whole tree holds at most
+    /// [`MAX_LEAVES`].
+    pub(crate) leaf_count: u32,
     /// Parent interior record; [`NIL`] for the root.
     pub(crate) parent: u32,
     /// Next sibling under `parent`, or the next free record.
@@ -181,7 +183,7 @@ impl Store {
     /// Hang record `idx` at `height` under `parent`, followed by `next`.
     /// Returns its leaf count (1 for a leaf).
     #[inline]
-    pub(crate) fn adopt(&mut self, idx: u32, height: u8, parent: u32, next: u32) -> u64 {
+    pub(crate) fn adopt(&mut self, idx: u32, height: u8, parent: u32, next: u32) -> u32 {
         if height == 0 {
             let leaf = self.leaf_mut(idx);
             leaf.parent = parent;
@@ -233,7 +235,6 @@ impl Store {
     /// A fresh childless interior record at `height`.
     pub(crate) fn alloc_node(&mut self, height: u8) -> u32 {
         let fresh = InteriorRec {
-            num: 0,
             leaf_count: 0,
             parent: NIL,
             next: NIL,
@@ -278,7 +279,7 @@ mod tests {
     fn records_fit_their_budgets() {
         assert!(size_of::<LeafRec>() <= 32, "{}", size_of::<LeafRec>());
         assert!(
-            size_of::<InteriorRec>() <= 48,
+            size_of::<InteriorRec>() <= 24,
             "{}",
             size_of::<InteriorRec>()
         );

@@ -18,7 +18,9 @@
 //!
 //! Nodes live in two pools of fixed-size records joined by
 //! first-child/next-sibling links (see `store`): a 32-B leaf record
-//! and a 48-B interior record, with no per-node allocation.
+//! and a 24-B interior record, with no per-node allocation. Only leaf
+//! labels are stored; the write path derives the interior numbers it
+//! needs from one leaf label (see `insert_leaves_at`).
 
 use std::cmp::Ordering;
 
@@ -293,8 +295,8 @@ impl LTree {
     /// Insert a new leaf immediately after `anchor`.
     pub fn insert_after(&mut self, anchor: LeafId) -> Result<LeafId> {
         let parent = self.leaf_rec(anchor)?.parent;
-        self.stats.inserts += 1;
         let ids = self.insert_leaves_at(parent, anchor.idx, 1)?;
+        self.stats.inserts += 1;
         Ok(ids[0])
     }
 
@@ -302,16 +304,16 @@ impl LTree {
     pub fn insert_before(&mut self, anchor: LeafId) -> Result<LeafId> {
         let parent = self.leaf_rec(anchor)?.parent;
         let prev = self.prev_sibling(parent, anchor.idx);
-        self.stats.inserts += 1;
         let ids = self.insert_leaves_at(parent, prev, 1)?;
+        self.stats.inserts += 1;
         Ok(ids[0])
     }
 
     /// Insert a new first leaf (works on an empty tree).
     pub fn insert_first(&mut self) -> Result<LeafId> {
-        self.stats.inserts += 1;
         let parent = self.first_leaf_parent();
         let ids = self.insert_leaves_at(parent, NIL, 1)?;
+        self.stats.inserts += 1;
         Ok(ids[0])
     }
 
@@ -327,18 +329,20 @@ impl LTree {
     /// immediately after `anchor`, paying the path/update costs once.
     /// Returns the new leaves in document order. A batch too large for
     /// the tree's `u32` index space is [`LTreeError::CapacityExceeded`],
-    /// reported before anything is allocated.
+    /// reported before anything is allocated or counted.
     pub fn insert_many_after(&mut self, anchor: LeafId, k: usize) -> Result<Vec<LeafId>> {
         let parent = self.leaf_rec(anchor)?.parent;
+        let ids = self.insert_leaves_at(parent, anchor.idx, k)?;
         self.stats.batch_inserts += 1;
-        self.insert_leaves_at(parent, anchor.idx, k)
+        Ok(ids)
     }
 
     /// Batch twin of [`insert_first`](LTree::insert_first).
     pub fn insert_many_first(&mut self, k: usize) -> Result<Vec<LeafId>> {
-        self.stats.batch_inserts += 1;
         let parent = self.first_leaf_parent();
-        self.insert_leaves_at(parent, NIL, k)
+        let ids = self.insert_leaves_at(parent, NIL, k)?;
+        self.stats.batch_inserts += 1;
+        Ok(ids)
     }
 
     /// Tombstone a leaf (paper, Section 2.3: "for deletions we can just
@@ -462,6 +466,16 @@ impl LTree {
     /// The insertion core shared by every insert flavour (Algorithm 1 of
     /// the paper, generalized to `k ≥ 1`): `k` leaves go under the
     /// height-1 record `parent`, after leaf record `prev` ([`NIL`] = first).
+    /// A rejected insert changes nothing, its counters included.
+    ///
+    /// Interior records store no number. The two this needs, `num(parent)`
+    /// for a suffix relabel and `num(up)` for a split's relabel, come from
+    /// ℓ, a leaf label under every node on the insert path, read before
+    /// anything moves. Numbers are assigned only top-down from the root's
+    /// 0, each child index below `B`, and every relabel runs with fanouts
+    /// back within `f`, so `num(v)` is a multiple of `B^{h(v)}` and every
+    /// leaf under `v` is labelled `num(v) + r` with `r < B^{h(v)}`: `num(v)`
+    /// is ℓ rounded down to a multiple of `B^{h(v)}`.
     fn insert_leaves_at(&mut self, parent: u32, prev: u32, k: usize) -> Result<Vec<LeafId>> {
         if k == 0 {
             return Err(LTreeError::EmptyBatch);
@@ -483,10 +497,9 @@ impl LTree {
             path.push(u);
             u = self.store.node(u).parent;
         }
-        self.stats.count_updates += path.len() as u64;
         let violator = path.iter().rev().copied().find(|&id| {
             let node = self.store.node(id);
-            node.leaf_count + k64 >= self.params.split_threshold(node.height)
+            u64::from(node.leaf_count) + k64 >= self.params.split_threshold(node.height)
         });
 
         // Label-space pre-check before mutating anything.
@@ -499,12 +512,22 @@ impl LTree {
             }
         }
 
-        // Mutate: splice the new leaves in after `prev`, bump counts
-        // along the path.
-        let succ = match prev {
-            NIL => self.store.node(parent).first,
-            _ => self.store.leaf(prev).next,
+        // ℓ: `prev`'s label; else the old first child's, which is
+        // `num(parent)` itself; else 0 under the empty root.
+        let (ell, succ) = match prev {
+            NIL => match self.store.node(parent).first {
+                NIL => (0, NIL),
+                first => (self.store.leaf(first).label, first),
+            },
+            _ => {
+                let leaf = self.store.leaf(prev);
+                (leaf.label, leaf.next)
+            }
         };
+
+        // Past every check, so the insert counts from here. Mutate: splice
+        // the new leaves in after `prev`, bump counts along the path.
+        self.stats.count_updates += path.len() as u64;
         let mut last = prev;
         for _ in 0..k {
             let id = self.store.alloc_leaf(parent);
@@ -517,9 +540,10 @@ impl LTree {
         }
         self.store.leaf_mut(last).next = succ;
         // `k` fits: the reservation bounded the whole tree by `u32` indices.
-        self.store.node_mut(parent).fanout += k as u32;
+        let k32 = k as u32;
+        self.store.node_mut(parent).fanout += k32;
         for &id in &path {
-            self.store.node_mut(id).leaf_count += k64;
+            self.store.node_mut(id).leaf_count += k32;
         }
         self.n_leaves += k64;
         self.n_live += k64;
@@ -528,8 +552,10 @@ impl LTree {
         match violator {
             None => {
                 // No split: relabel the new leaves and their right
-                // siblings by child index (labels `num(parent) + j`).
-                self.relabel_suffix(parent, prev);
+                // siblings by child index (labels `num(parent) + j`),
+                // from child 0 (`num(parent) = ℓ`) or from after `prev`.
+                let start = if prev == NIL { ell } else { ell + 1 };
+                self.relabel_suffix(ids[0].idx, start);
             }
             Some(mut t) => loop {
                 if t == self.root {
@@ -540,7 +566,8 @@ impl LTree {
                 self.split_node(t)?;
                 let pn = self.store.node(up);
                 debug_assert!(
-                    pn.leaf_count < self.params.split_threshold(pn.height) || up == self.root,
+                    u64::from(pn.leaf_count) < self.params.split_threshold(pn.height)
+                        || up == self.root,
                     "t was the highest leaf-count violator"
                 );
                 if pn.fanout > self.params.f() {
@@ -552,29 +579,19 @@ impl LTree {
                     t = up;
                     continue;
                 }
-                let base = pn.num;
-                self.relabel_subtree(up, base)?;
+                // `up` is on the insert path and was not rebuilt.
+                let interval = self.params.interval(pn.height)?;
+                self.relabel_subtree(up, ell - ell % interval)?;
                 break;
             },
         }
         Ok(ids)
     }
 
-    /// Relabel the leaves after `prev` under the height-1 record `parent`
-    /// (all of them when `prev` is [`NIL`]) by child index: child `j`
-    /// gets `num(parent) + j`, and `prev`'s label already is
-    /// `num(parent) + j - 1`.
-    fn relabel_suffix(&mut self, parent: u32, prev: u32) {
-        let (mut num, mut c) = match prev {
-            NIL => {
-                let node = self.store.node(parent);
-                (node.num, node.first)
-            }
-            _ => {
-                let leaf = self.store.leaf(prev);
-                (leaf.label + 1, leaf.next)
-            }
-        };
+    /// Relabel leaf record `c` and its right siblings by child index:
+    /// `c` gets `num`, and each sibling after it the next label (leaves
+    /// sit at height 0, so child `j` is `num(parent) + j`).
+    fn relabel_suffix(&mut self, mut c: u32, mut num: u128) {
         let mut written = 0u64;
         while c != NIL {
             let leaf = self.store.leaf_mut(c);
@@ -726,7 +743,7 @@ impl LTree {
     /// records at height 1, interior records above) in order.
     fn make_internal(&mut self, height: u8, children: &[u32]) -> u32 {
         let id = self.store.alloc_node(height);
-        let mut leaf_count = 0u64;
+        let mut leaf_count = 0u32;
         for (i, &c) in children.iter().enumerate() {
             let next = children.get(i + 1).copied().unwrap_or(NIL);
             leaf_count += self.store.adopt(c, height - 1, id, next);
@@ -741,16 +758,14 @@ impl LTree {
 
     /// Assign `num(u) = base` and recursively
     /// `num(child_i) = num(parent) + i · B^{h(child)}` (paper Algorithm 1,
-    /// `Relabel`). Counts every node written.
+    /// `Relabel`). Only leaf labels are stored: interior numbers ride the
+    /// walk's stack. Counts every number assigned, interior ones included.
     fn relabel_subtree(&mut self, u: u32, base: u128) -> Result<()> {
-        self.store.node_mut(u).num = base;
         let mut written = 1u64;
         let mut leaf_writes = 0u64;
-        let mut stack = vec![u];
-        while let Some(id) = stack.pop() {
-            let InteriorRec {
-                num, first, height, ..
-            } = *self.store.node(id);
+        let mut stack = vec![(u, base)];
+        while let Some((id, num)) = stack.pop() {
+            let InteriorRec { first, height, .. } = *self.store.node(id);
             let interval = self.params.interval(height - 1)?;
             let (mut c, mut i) = (first, 0u128);
             while c != NIL {
@@ -761,10 +776,8 @@ impl LTree {
                     c = leaf.next;
                     leaf_writes += 1;
                 } else {
-                    let node = self.store.node_mut(c);
-                    node.num = child_num;
-                    stack.push(c);
-                    c = node.next;
+                    stack.push((c, child_num));
+                    c = self.store.node(c).next;
                 }
                 written += 1;
                 i += 1;
