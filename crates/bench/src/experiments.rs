@@ -488,9 +488,10 @@ pub fn x9(scale: Scale) -> Vec<Table> {
     t.note("queries and the storage space necessary for materializing the L-Tree'.");
     t.note("Labels are verified identical between the two variants on every size, by");
     t.note("streaming both label sequences off the schemes' cursors.");
-    t.note("Memory is buffer capacity. Materialized, that is one 32-B record per leaf and");
-    t.note("one 24-B record per interior node (numbers are derived, not stored): below");
-    t.note("virtual at every size.");
+    t.note("Memory is buffer capacity. Materialized, that is one 20-B record per leaf (a");
+    t.note("label's low 64 bits; higher bits get a column only once a label passes 2^64)");
+    t.note("and one 24-B record per interior node (numbers are derived, not stored):");
+    t.note("below virtual at every size.");
     for &n in sizes {
         let ops = (n / 2).max(1_000);
         let script = generate_edits(UNIFORM, n, ops, 23);

@@ -26,7 +26,10 @@
 //!    structure;
 //! 8. **leak** — every record is reachable from the root or on its
 //!    pool's free list, and free leaf records are marked free;
-//! 9. **label space** — every leaf label fits the label space `[0, B^H)`.
+//! 9. **label space** — every leaf label fits the label space `[0, B^H)`;
+//! 10. **label column** — the leaf labels' high-word column is empty (no
+//!     label has passed `u64::MAX`) or holds exactly one word per leaf
+//!     record.
 
 use crate::store::{Store, NIL};
 use crate::tree::LTree;
@@ -44,7 +47,7 @@ impl std::fmt::Display for InvariantError {
 impl std::error::Error for InvariantError {}
 
 /// The checks' names, in the order the [module docs](self) number them.
-const CHECKS: [&str; 9] = [
+const CHECKS: [&str; 10] = [
     "root",
     "height",
     "parent link",
@@ -54,6 +57,7 @@ const CHECKS: [&str; 9] = [
     "totals",
     "leak",
     "label space",
+    "label column",
 ];
 
 fn violation(check: usize, detail: String) -> InvariantError {
@@ -77,6 +81,14 @@ pub fn check(tree: &LTree) -> Result<(), InvariantError> {
         .interval(tree.height())
         .map_err(|_| violation(9, "label space B^H overflows u128".into()))?;
 
+    // Runs first: every label the walk reads goes through the column.
+    ensure!(
+        10,
+        store.hi.is_empty() || store.hi.len() == store.leaves.len(),
+        "high-word column of length {} beside {} leaf records",
+        store.hi.len(),
+        store.leaves.len()
+    );
     let root_node = store
         .nodes
         .get(root as usize)
@@ -141,7 +153,7 @@ pub fn check(tree: &LTree) -> Result<(), InvariantError> {
                 leaves_seen += 1;
                 live_seen += u64::from(!leaf.is_deleted());
                 sum += 1;
-                (leaf.parent, 0, Some(leaf.label), leaf.next)
+                (leaf.parent, 0, Some(store.label(c)), leaf.next)
             } else {
                 let child = store.nodes.get(c as usize).ok_or_else(|| dangling(c))?;
                 nodes_seen += 1;
@@ -333,7 +345,7 @@ mod tests {
     #[test]
     fn check_5_fires_on_a_child_num_off_by_one() {
         fires("check 5 (labeling)", |store, first, _| {
-            store.leaf_mut(first).label += 1;
+            store.set_label(first, store.label(first) + 1);
         });
     }
 
@@ -342,8 +354,8 @@ mod tests {
     #[test]
     fn check_5_fires_when_every_label_is_shifted() {
         fires("check 5 (labeling)", |store, _, _| {
-            for leaf in &mut store.leaves {
-                leaf.label += 1;
+            for idx in 0..store.leaves.len() as u32 {
+                store.set_label(idx, store.label(idx) + 1);
             }
         });
     }
@@ -384,7 +396,19 @@ mod tests {
     fn check_9_fires_on_a_label_outside_the_label_space() {
         // Height 3 at base 5: labels live in [0, 125).
         fires("check 9 (label space)", |store, first, _| {
-            store.leaf_mut(first).label = 125;
+            store.set_label(first, 125);
+        });
+    }
+
+    #[test]
+    fn check_10_fires_on_a_high_word_column_off_the_pool_length() {
+        let msg = fires("check 10 (label column)", |store, _, _| {
+            store.hi.push(0);
+        });
+        assert!(msg.contains("length 1 beside 8 leaf records"), "{msg}");
+        // An open column must grow with the pool.
+        fires("check 10 (label column)", |store, _, _| {
+            store.hi.resize(store.leaves.len() - 1, 0);
         });
     }
 }

@@ -320,12 +320,18 @@ impl SpliceResult {
 pub trait BatchLabeling: OrderedLabelingMut {
     /// Insert `k ≥ 1` consecutive items immediately after `anchor`;
     /// returns the new handles in list order. The default falls back to
-    /// `k` repeated single insertions.
+    /// `k` repeated single insertions, once it has reserved room for the
+    /// `k` handles: a batch too large for that is
+    /// [`LTreeError::CapacityExceeded`] before anything is inserted.
     fn insert_many_after(&mut self, anchor: LeafHandle, k: usize) -> Result<Vec<LeafHandle>> {
         if k == 0 {
             return Err(LTreeError::EmptyBatch);
         }
-        let mut out = Vec::with_capacity(k);
+        let mut out = Vec::new();
+        out.try_reserve_exact(k)
+            .map_err(|_| LTreeError::CapacityExceeded {
+                requested: k as u64,
+            })?;
         let mut cur = anchor;
         for _ in 0..k {
             cur = self.insert_after(cur)?;

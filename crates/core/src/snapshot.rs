@@ -379,7 +379,7 @@ mod tests {
     #[test]
     fn snapshot_is_compact() {
         // Structure-only encoding: ~2 bytes per leaf + interior overhead,
-        // far below the 16-byte labels it regenerates.
+        // far below the 20-B leaf records it relabels.
         let (tree, _) = LTree::bulk_load(Params::new(4, 2).unwrap(), 10_000).unwrap();
         let bytes = save(&tree);
         assert!(

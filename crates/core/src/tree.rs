@@ -17,10 +17,12 @@
 //!   without tombstones, preserving all live [`LeafId`]s.
 //!
 //! Nodes live in two pools of fixed-size records joined by
-//! first-child/next-sibling links (see `store`): a 32-B leaf record
+//! first-child/next-sibling links (see `store`): a 20-B leaf record
 //! and a 24-B interior record, with no per-node allocation. Only leaf
-//! labels are stored; the write path derives the interior numbers it
-//! needs from one leaf label (see `insert_leaves_at`).
+//! labels are stored, their low 64 bits in the leaf record and any
+//! higher bits in a column the store opens for the first wider label;
+//! the write path derives the interior numbers it needs from one leaf
+//! label (see `insert_leaves_at`).
 
 use std::cmp::Ordering;
 
@@ -133,8 +135,9 @@ impl LTree {
 
     /// Room for `k` more leaves, or [`LTreeError::CapacityExceeded`]
     /// before anything changes: the total must fit the `u32` record index
-    /// space, and the record pool and the returned id vector (empty, with
-    /// capacity `k`) are reserved up front.
+    /// space, and the record pool (with its high-word column, if open)
+    /// and the returned id vector (empty, with capacity `k`) are reserved
+    /// up front.
     fn reserve_leaves(&mut self, k: usize) -> Result<Vec<LeafId>> {
         let requested = k as u64;
         let exceeded = LTreeError::CapacityExceeded { requested };
@@ -142,9 +145,9 @@ impl LTree {
             Some(total) if total <= MAX_LEAVES => total as usize,
             _ => return Err(exceeded),
         };
-        let pool = &mut self.store.leaves;
         let mut ids = Vec::new();
-        pool.try_reserve(total.saturating_sub(pool.len()))
+        self.store
+            .try_reserve_leaves(total)
             .and_then(|()| ids.try_reserve_exact(k))
             .map_err(|_| exceeded)?;
         Ok(ids)
@@ -191,7 +194,8 @@ impl LTree {
 
     /// The label of a leaf — `O(1)`, "for free" in the paper's cost model.
     pub fn label(&self, leaf: LeafId) -> Result<Label> {
-        Ok(Label::new(self.leaf_rec(leaf)?.label))
+        self.leaf_rec(leaf)?;
+        Ok(Label::new(self.store.label(leaf.idx)))
     }
 
     /// Whether the leaf is tombstoned.
@@ -224,7 +228,8 @@ impl LTree {
     }
 
     /// Heap usage in bytes (space side of experiment X9): the tree itself
-    /// plus the capacity of both record pools. `O(1)`.
+    /// plus the capacity of both record pools and of the labels'
+    /// high-word column (none while every label fits 64 bits). `O(1)`.
     pub fn memory_bytes(&self) -> usize {
         std::mem::size_of::<Self>() + self.store.memory_bytes()
     }
@@ -361,10 +366,17 @@ impl LTree {
     /// as if the live leaves had been bulk loaded. All live [`LeafId`]s
     /// remain valid; tombstoned ids become stale.
     pub fn compact(&mut self) -> Result<()> {
+        // The rebuilt height is checked before anything is freed, so a
+        // rejected compaction leaves the tree as it was.
+        let n = self.n_live;
+        let height = self.params.height_for(n);
+        if height > self.params.max_height() {
+            return Err(LTreeError::LabelOverflow { height });
+        }
         // Free the interior, then drop the tombstones, keeping live
         // leaves (and so their ids) untouched.
         let (all, _) = self.dismantle(self.root);
-        let mut keep = Vec::with_capacity(self.n_live as usize);
+        let mut keep = Vec::with_capacity(n as usize);
         for idx in all {
             if self.store.leaf(idx).is_deleted() {
                 self.store.free_leaf(idx);
@@ -377,11 +389,6 @@ impl LTree {
             self.height = 1;
             self.n_leaves = 0;
             return Ok(());
-        }
-        let n = keep.len() as u64;
-        let height = self.params.height_for(n);
-        if height > self.params.max_height() {
-            return Err(LTreeError::LabelOverflow { height });
         }
         let root = self.build_complete(height, &keep);
         self.root = root;
@@ -517,12 +524,9 @@ impl LTree {
         let (ell, succ) = match prev {
             NIL => match self.store.node(parent).first {
                 NIL => (0, NIL),
-                first => (self.store.leaf(first).label, first),
+                first => (self.store.label(first), first),
             },
-            _ => {
-                let leaf = self.store.leaf(prev);
-                (leaf.label, leaf.next)
-            }
+            _ => (self.store.label(prev), self.store.leaf(prev).next),
         };
 
         // Past every check, so the insert counts from here. Mutate: splice
@@ -594,9 +598,8 @@ impl LTree {
     fn relabel_suffix(&mut self, mut c: u32, mut num: u128) {
         let mut written = 0u64;
         while c != NIL {
-            let leaf = self.store.leaf_mut(c);
-            leaf.label = num;
-            c = leaf.next;
+            self.store.set_label(c, num);
+            c = self.store.leaf(c).next;
             num += 1;
             written += 1;
         }
@@ -771,9 +774,8 @@ impl LTree {
             while c != NIL {
                 let child_num = num + i * interval;
                 if height == 1 {
-                    let leaf = self.store.leaf_mut(c);
-                    leaf.label = child_num;
-                    c = leaf.next;
+                    self.store.set_label(c, child_num);
+                    c = self.store.leaf(c).next;
                     leaf_writes += 1;
                 } else {
                     stack.push((c, child_num));
@@ -1280,6 +1282,44 @@ mod tests {
             assert!(tree.label(l).unwrap().get() < space);
         }
         assert!(tree.label_space_bits() <= 128);
+    }
+
+    /// While every label fits 64 bits the high-word column stays
+    /// unallocated: 20 B per leaf record and 24 B per interior record.
+    #[test]
+    fn narrow_labels_cost_twenty_bytes_per_leaf_record() {
+        let (mut tree, leaves) = LTree::bulk_load(Params::example(), 200).unwrap();
+        for i in 0..600 {
+            tree.insert_after(leaves[i % 50]).unwrap();
+        }
+        tree.compact().unwrap();
+        assert!(tree.max_label().unwrap().get() <= u128::from(u64::MAX));
+        let store = tree.store();
+        assert_eq!(store.hi.capacity(), 0);
+        assert_eq!(
+            tree.memory_bytes(),
+            std::mem::size_of::<LTree>()
+                + 20 * store.leaves.capacity()
+                + 24 * store.nodes.capacity()
+        );
+    }
+
+    /// The column opens on the first label above `u64::MAX`, not on a
+    /// label space wider than 64 bits.
+    #[test]
+    fn a_wide_label_space_alone_opens_no_column() {
+        let (tree, _) = LTree::bulk_load(Params::new(64, 32).unwrap(), 1_025).unwrap();
+        assert_eq!((tree.height(), tree.label_space_bits()), (11, 67));
+        assert!(tree.store().hi.is_empty());
+        // At B = 65,537 a height-5 root numbers its second child
+        // B^4 > 2^64; 17 bulk-loaded leaves put one leaf there.
+        let params = Params::new(65_536, 32_768).unwrap();
+        let (tree, leaves) = LTree::bulk_load(params, 17).unwrap();
+        assert_eq!(tree.height(), 5);
+        assert_eq!(tree.label(leaves[16]).unwrap().get(), 65_537u128.pow(4));
+        assert!(tree.label(leaves[15]).unwrap().get() <= u128::from(u64::MAX));
+        assert_eq!(tree.store().hi.len(), tree.store().leaves.len());
+        tree.check_invariants().unwrap();
     }
 
     #[test]

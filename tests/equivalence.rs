@@ -138,3 +138,73 @@ fn batch_heavy_stream_equivalence() {
         .collect();
     run_stream(params, 4, &ops);
 }
+
+/// Labels past 2⁶⁴. At `(64,32)` a root rebuild at 32,768 leaves lifts
+/// the tree to height 11 (a 67-bit label space, `65^11`) with 32 root
+/// children, so from then on the labels of the root's children from
+/// index 14 up exceed `u64::MAX` and the materialized tree keeps their
+/// high words outside its leaf records. Both trees must agree label for
+/// label, and compaction and an `LTRS` round trip must keep the order.
+#[test]
+fn wide_labels_past_u64_equivalence() {
+    let params = Params::new(64, 32).unwrap();
+    let mut mat = LTree::new(params);
+    let mut virt = VirtualLTree::new(params);
+    let mut edge = (mat.insert_first().unwrap(), virt.insert_first().unwrap());
+    // Both trees' handles of each item, in insertion order.
+    let mut items = vec![edge];
+    let mut first_wide = None;
+    let mut rng = SplitMix64::new(64);
+    while mat.len() < 40_000 {
+        let (m, v) = items[rng.gen_range(0..items.len())];
+        match rng.gen_range(0..16) {
+            0..=9 => {
+                edge = (
+                    mat.insert_after(edge.0).unwrap(),
+                    virt.insert_after(edge.1).unwrap(),
+                );
+                items.push(edge);
+            }
+            10..=11 => items.push((mat.insert_after(m).unwrap(), virt.insert_after(v).unwrap())),
+            12 => items.push((
+                mat.insert_before(m).unwrap(),
+                virt.insert_before(v).unwrap(),
+            )),
+            13 => {
+                let k = rng.gen_range(1..40);
+                let ms = mat.insert_many_after(m, k).unwrap();
+                let vs = BatchLabeling::insert_many_after(&mut virt, v, k).unwrap();
+                items.extend(ms.into_iter().zip(vs));
+            }
+            _ => assert_eq!(mat.delete(m).is_ok(), virt.delete(v).is_ok()),
+        }
+        if first_wide.is_none() && mat.max_label().unwrap().get() > u128::from(u64::MAX) {
+            first_wide = Some(mat.len());
+        }
+    }
+    // Below height 11 every label is under 65^10 < 2^64.
+    let first_wide = first_wide.expect("no label passed u64::MAX");
+    assert!(first_wide >= 32_768, "wide at {first_wide} leaves");
+    let labels = materialized_labels(&mat);
+    assert_eq!(labels, virt.labels_in_order());
+    for &(m, v) in &items {
+        assert_eq!(mat.label(m).unwrap().get(), virt.label_of(v).unwrap());
+    }
+    mat.check_invariants().unwrap();
+    virt.check_invariants().unwrap();
+
+    // An `LTRS` image regenerates every label, high words included.
+    let (loaded, _) = ltree::snapshot::load(&ltree::snapshot::save(&mat)).unwrap();
+    assert_eq!(materialized_labels(&loaded), labels);
+    loaded.check_invariants().unwrap();
+
+    // Compaction keeps the live leaves in order and labels them as a
+    // bulk load of the same size would.
+    let live: Vec<LeafId> = mat.live_leaves().collect();
+    mat.compact().unwrap();
+    assert_eq!(mat.live_leaves().collect::<Vec<_>>(), live);
+    mat.check_invariants().unwrap();
+    let mut fresh = VirtualLTree::new(params);
+    fresh.bulk_build(live.len()).unwrap();
+    assert_eq!(materialized_labels(&mat), fresh.labels_in_order());
+}

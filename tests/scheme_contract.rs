@@ -622,6 +622,39 @@ fn empty_batch_is_a_typed_error() {
     }
 }
 
+/// The trait's default `insert_many_after` (the baselines') reserves its
+/// handle vector before the first insert, so a batch too large to hold
+/// is a typed error that changes nothing, also under a wrapper.
+#[test]
+fn oversized_default_batches_are_typed_errors_that_change_nothing() {
+    let labels = |s: &dyn DynScheme| -> Vec<u128> {
+        Cursor::new(s).map(|h| s.label_of(h).unwrap()).collect()
+    };
+    for spec in [
+        "naive",
+        "gap",
+        "list-label",
+        "checked(gap)",
+        "sharded(2,naive)",
+    ] {
+        let mut s = build(spec);
+        let hs = s.bulk_build(64).unwrap();
+        let before = labels(&*s);
+        let stats = s.scheme_stats();
+        let k = 1usize << 40;
+        match s.insert_many_after(hs[10], k) {
+            Err(ltree::LTreeError::CapacityExceeded { requested }) => {
+                assert_eq!(requested, k as u64, "{spec}");
+            }
+            other => panic!("{spec}: expected CapacityExceeded, got {other:?}"),
+        }
+        // Stats first: `list-label` counts its cursor walk's touches.
+        assert_eq!(s.scheme_stats(), stats, "{spec}");
+        assert_eq!((s.len(), s.live_len()), (64, 64), "{spec}");
+        assert_eq!(labels(&*s), before, "{spec}");
+    }
+}
+
 #[test]
 fn invariants_hold_after_contract_streams() {
     // A deterministic heavy stream with full invariant checking for the
