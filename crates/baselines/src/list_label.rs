@@ -164,6 +164,13 @@ impl ListLabeling {
         None
     }
 
+    /// Charge the B-tree's touches to the stats. Each mutator resets the
+    /// touch counter when it starts and syncs it when it ends, so the
+    /// lookups of read-only calls are not counted as maintenance.
+    fn sync_touches(&mut self) {
+        self.stats.node_touches += self.tree.touches();
+    }
+
     fn insert_with_neighbours(
         &mut self,
         prev: Option<LeafHandle>,
@@ -191,6 +198,7 @@ impl ListLabeling {
                 .insert(label, idx)
                 .expect("midpoint label is unoccupied");
             self.stats.label_writes += 1;
+            self.sync_touches();
             return Ok(LeafHandle(u64::from(idx)));
         }
     }
@@ -270,11 +278,13 @@ impl OrderedLabelingMut for ListLabeling {
     }
 
     fn insert_first(&mut self) -> Result<LeafHandle> {
+        self.tree.reset_touches();
         let next = self.tree.kth(0).map(|(_, &idx)| LeafHandle(u64::from(idx)));
         self.insert_with_neighbours(None, next)
     }
 
     fn insert_after(&mut self, anchor: LeafHandle) -> Result<LeafHandle> {
+        self.tree.reset_touches();
         let label = self.item(anchor)?.label;
         let next = self
             .tree
@@ -284,6 +294,7 @@ impl OrderedLabelingMut for ListLabeling {
     }
 
     fn insert_before(&mut self, anchor: LeafHandle) -> Result<LeafHandle> {
+        self.tree.reset_touches();
         let label = self.item(anchor)?.label;
         let prev = self
             .tree
@@ -293,6 +304,7 @@ impl OrderedLabelingMut for ListLabeling {
     }
 
     fn delete(&mut self, h: LeafHandle) -> Result<()> {
+        self.tree.reset_touches();
         let idx = usize::try_from(h.0).map_err(|_| LTreeError::UnknownHandle)?;
         match self.items.get_mut(idx) {
             Some(item) if item.alive => {
@@ -300,6 +312,7 @@ impl OrderedLabelingMut for ListLabeling {
                 let label = item.label;
                 self.tree.remove(label).expect("alive item is indexed");
                 self.stats.deletes += 1;
+                self.sync_touches();
                 Ok(())
             }
             _ => Err(LTreeError::UnknownHandle),
@@ -314,9 +327,7 @@ impl BatchLabeling for ListLabeling {}
 
 impl Instrumented for ListLabeling {
     fn scheme_stats(&self) -> SchemeStats {
-        let mut s = self.stats;
-        s.node_touches += self.tree.touches();
-        s
+        self.stats
     }
 
     fn reset_scheme_stats(&mut self) {

@@ -3,8 +3,7 @@
 //!
 //! ```text
 //! repro [--full | --quick] [x1 x2 … | all]
-//! repro sweep [--full | --quick] [--out PATH] [--baseline PATH] [--max-regress R]
-//!             [--summary PATH]
+//! repro sweep [--full | --quick] [--out PATH] [--baseline PATH] [--summary PATH]
 //! repro metrics <host:port | --smoke> [--out PATH]
 //! ```
 //!
@@ -15,10 +14,9 @@
 //! `sweep` cross-products every registered scheme spec with the five
 //! standard workload shapes, prints the comparison table and writes the
 //! machine-readable `BENCH_sweep.json` (schema in `crates/bench/README.md`).
-//! With `--baseline`, the run exits non-zero when any cell errors, when
-//! an L-Tree-family cell's label-write count exceeds `--max-regress`
-//! (default 2.0) times the baseline's, or when its `memory_bytes`
-//! exceeds the baseline's (no ratio: it repeats exactly). `--summary PATH`
+//! With `--baseline`, the run exits non-zero when any cell errors, or
+//! when an L-Tree-family cell's label-write count or `memory_bytes`
+//! exceeds the baseline's (no headroom: both repeat exactly). `--summary PATH`
 //! additionally writes just the markdown table to `PATH` — CI appends it
 //! to `$GITHUB_STEP_SUMMARY` so the comparison shows on the PR itself,
 //! not only in the artifact.
@@ -48,7 +46,7 @@ fn main() {
 
 fn usage() -> String {
     format!(
-        "usage:\n  repro [--full | --quick] [ids... | all]   run experiment tables\n  repro sweep [--full | --quick] [--out PATH] [--baseline PATH] [--max-regress R] [--summary PATH]\n  repro metrics <host:port | --smoke> [--out PATH]   scrape a label server as Prometheus text\n\nvalid experiment ids: {}, all",
+        "usage:\n  repro [--full | --quick] [ids... | all]   run experiment tables\n  repro sweep [--full | --quick] [--out PATH] [--baseline PATH] [--summary PATH]\n  repro metrics <host:port | --smoke> [--out PATH]   scrape a label server as Prometheus text\n\nvalid experiment ids: {}, all",
         experiments::all_ids().join(", ")
     )
 }
@@ -112,7 +110,6 @@ fn sweep_main(args: &[String]) -> i32 {
     let mut out = String::from("BENCH_sweep.json");
     let mut baseline: Option<String> = None;
     let mut summary: Option<String> = None;
-    let mut max_regress = 2.0f64;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -136,13 +133,6 @@ fn sweep_main(args: &[String]) -> i32 {
                 Some(p) => baseline = Some(p.clone()),
                 None => {
                     eprintln!("--baseline needs a path\n{}", usage());
-                    return 2;
-                }
-            },
-            "--max-regress" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(r) if r >= 1.0 => max_regress = r,
-                _ => {
-                    eprintln!("--max-regress needs a ratio >= 1.0\n{}", usage());
                     return 2;
                 }
             },
@@ -198,11 +188,9 @@ fn sweep_main(args: &[String]) -> i32 {
         match std::fs::read_to_string(&path).map_err(|e| e.to_string()) {
             Ok(text) => match sweep::SweepReport::from_json(&text) {
                 Ok(base) => {
-                    let problems = sweep::compare_with_baseline(&report, &base, max_regress);
+                    let problems = sweep::compare_with_baseline(&report, &base);
                     if problems.is_empty() {
-                        println!(
-                            "baseline check against {path} passed (max-regress {max_regress}x)"
-                        );
+                        println!("baseline check against {path} passed");
                     } else {
                         failed = true;
                         for p in &problems {

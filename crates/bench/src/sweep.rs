@@ -16,11 +16,10 @@
 //! Results render as the usual markdown table *and* serialize to the
 //! versioned `BENCH_sweep.json` (schema documented in
 //! `crates/bench/README.md`) that CI uploads as an artifact and diffs
-//! against the checked-in `BENCH_baseline.json`: any errored cell, an
-//! L-Tree relabel count more than `max_ratio` (default 2×) above the
-//! baseline, or an L-Tree `memory_bytes` above the baseline's fails the
-//! build, so the perf trajectory is tracked by the machine instead of by
-//! eyeballing terminal tables.
+//! against the checked-in `BENCH_baseline.json`: any errored cell, or an
+//! L-Tree-family cell whose label-write count or `memory_bytes` is above
+//! the baseline's, fails the build, so the perf trajectory is tracked by
+//! the machine instead of by eyeballing terminal tables.
 
 use crate::json::Json;
 use crate::table::{f, Table};
@@ -788,19 +787,14 @@ impl SweepReport {
 
 /// Compare a fresh sweep against a checked-in baseline: for every
 /// L-Tree-family cell (spec starting with `ltree`, `virtual`, `sharded`
-/// or `served`) present in both, the current **label-write count** must
-/// not exceed `max_ratio ×` the baseline's, and its **`memory_bytes`**
-/// must not exceed the baseline's at all. Counter columns are seeded and
-/// deterministic, so the 2× default only trips on genuine regressions;
-/// `memory_bytes` counts buffer capacity after the same seeded script, so
-/// it repeats exactly and needs no ratio (wall-clock fields are
-/// deliberately ignored). Returns the list of violations, empty when the
-/// sweep is clean.
-pub fn compare_with_baseline(
-    current: &SweepReport,
-    baseline: &SweepReport,
-    max_ratio: f64,
-) -> Vec<String> {
+/// or `served`) present in both, neither the current **label-write
+/// count** nor its **`memory_bytes`** may exceed the baseline's, by even
+/// one. Both repeat exactly: the counters are seeded and deterministic,
+/// and `memory_bytes` counts buffer capacity after the same seeded
+/// script, so neither needs headroom (wall-clock fields are deliberately
+/// ignored). Returns the list of violations, empty when the sweep is
+/// clean.
+pub fn compare_with_baseline(current: &SweepReport, baseline: &SweepReport) -> Vec<String> {
     let mut problems = Vec::new();
     for cur in &current.cells {
         if !(cur.spec.starts_with("ltree")
@@ -817,10 +811,9 @@ pub fn compare_with_baseline(
         };
         match (&cur.outcome, &base.outcome) {
             (Ok(c), Ok(b)) => {
-                let limit = (b.label_writes.max(1) as f64) * max_ratio;
-                if c.label_writes as f64 > limit {
+                if c.label_writes > b.label_writes {
                     problems.push(format!(
-                        "{} × {} × n={}: label writes {} exceed {max_ratio}× baseline {}",
+                        "{} × {} × n={}: label writes {} exceed baseline {}",
                         cur.spec, cur.workload, cur.n, c.label_writes, b.label_writes
                     ));
                 }
@@ -1111,34 +1104,37 @@ mod tests {
     fn baseline_comparison_flags_regressions_and_errors() {
         let base = run_sweep(&tiny_config());
         assert!(
-            compare_with_baseline(&base, &base, 2.0).is_empty(),
+            compare_with_baseline(&base, &base).is_empty(),
             "a sweep never regresses against itself"
         );
+        // No headroom: one label write over the baseline is a regression.
         let mut worse = base.clone();
         for c in &mut worse.cells {
             if let Ok(m) = &mut c.outcome {
-                m.label_writes = m.label_writes.max(1) * 3;
+                m.label_writes += 1;
             }
         }
-        let problems = compare_with_baseline(&worse, &base, 2.0);
-        assert!(!problems.is_empty());
+        let problems = compare_with_baseline(&worse, &base);
         assert!(
-            problems.iter().all(|p| p.contains("ltree")),
-            "only the L-Tree family is gated: {problems:?}"
+            !problems.is_empty()
+                && problems
+                    .iter()
+                    .all(|p| p.contains("label writes") && p.contains("ltree")),
+            "only L-Tree-family label writes are gated: {problems:?}"
         );
         let mut broken = base.clone();
         broken.cells[0].outcome = Err("boom".into());
-        assert!(compare_with_baseline(&broken, &base, 2.0)
+        assert!(compare_with_baseline(&broken, &base)
             .iter()
             .any(|p| p.contains("boom")));
-        // Memory has no ratio: one byte over the baseline is a regression.
+        // Memory has no headroom either.
         let mut bigger = base.clone();
         for c in &mut bigger.cells {
             if let Ok(m) = &mut c.outcome {
                 m.memory_bytes += 1;
             }
         }
-        let problems = compare_with_baseline(&bigger, &base, 2.0);
+        let problems = compare_with_baseline(&bigger, &base);
         assert!(
             !problems.is_empty()
                 && problems

@@ -52,6 +52,7 @@ pub struct SchemeStats {
     /// Item labels written (initial assignment + relabelings).
     pub label_writes: u64,
     /// All maintenance node/entry accesses, including interior bookkeeping.
+    /// Read-only calls (`label_of`, `compare`, cursor walks) count none.
     pub node_touches: u64,
     /// Number of relabeling events (each may write many labels).
     pub relabel_events: u64,

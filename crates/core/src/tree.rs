@@ -7,7 +7,8 @@
 //! * [`LTree::bulk_load`] — Section 2.2: a leftmost-complete `f/s`-ary tree.
 //! * [`LTree::insert_after`] / [`LTree::insert_before`] — Section 2.3,
 //!   Algorithm 1: sibling relabel, or split of the highest overfull
-//!   ancestor into `s` half-full subtrees.
+//!   ancestor into `s` half-full subtrees, renumbering only the pieces
+//!   and the siblings to their right.
 //! * [`LTree::insert_many_after`] — Section 4.1: batch insertion; the split
 //!   produces `ceil(L / a^h)` pieces and, if a batch transiently overflows
 //!   a fanout, cascades upward (never needed for single inserts —
@@ -126,7 +127,7 @@ impl LTree {
         self.height = height;
         self.n_leaves = n64;
         self.n_live = n64;
-        self.relabel_subtree(root, 0)?;
+        self.renumber(root, height, 0)?;
         // Bulk loading is not an update: it should not pollute the
         // amortized-cost counters the experiments read.
         self.stats.reset();
@@ -394,7 +395,7 @@ impl LTree {
         self.root = root;
         self.height = height;
         self.n_leaves = n;
-        self.relabel_subtree(root, 0)?;
+        self.renumber(root, height, 0)?;
         Ok(())
     }
 
@@ -475,11 +476,16 @@ impl LTree {
     /// height-1 record `parent`, after leaf record `prev` ([`NIL`] = first).
     /// A rejected insert changes nothing, its counters included.
     ///
+    /// Only what moves is renumbered: the new leaves and their right
+    /// siblings, or after a split of `t` its pieces and their right
+    /// siblings. The paper relabels all of `parent(t)`, but the children
+    /// left of `t` keep their index and so their numbers.
+    ///
     /// Interior records store no number. The two this needs, `num(parent)`
-    /// for a suffix relabel and `num(up)` for a split's relabel, come from
-    /// ℓ, a leaf label under every node on the insert path, read before
-    /// anything moves. Numbers are assigned only top-down from the root's
-    /// 0, each child index below `B`, and every relabel runs with fanouts
+    /// for a suffix renumber and `num(t)` for a split's, come from ℓ, a
+    /// leaf label under every node on the insert path, read before
+    /// anything moves. Numbers follow the invariant from the root's 0,
+    /// each child index below `B`, and every renumber runs with fanouts
     /// back within `f`, so `num(v)` is a multiple of `B^{h(v)}` and every
     /// leaf under `v` is labelled `num(v) + r` with `r < B^{h(v)}`: `num(v)`
     /// is ℓ rounded down to a multiple of `B^{h(v)}`.
@@ -555,11 +561,11 @@ impl LTree {
 
         match violator {
             None => {
-                // No split: relabel the new leaves and their right
+                // No split: renumber the new leaves and their right
                 // siblings by child index (labels `num(parent) + j`),
                 // from child 0 (`num(parent) = ℓ`) or from after `prev`.
                 let start = if prev == NIL { ell } else { ell + 1 };
-                self.relabel_suffix(ids[0].idx, start);
+                self.renumber(ids[0].idx, 0, start)?;
             }
             Some(mut t) => loop {
                 if t == self.root {
@@ -567,7 +573,7 @@ impl LTree {
                     break;
                 }
                 let up = self.store.node(t).parent;
-                self.split_node(t)?;
+                let first_piece = self.split_node(t)?;
                 let pn = self.store.node(up);
                 debug_assert!(
                     u64::from(pn.leaf_count) < self.params.split_threshold(pn.height)
@@ -583,36 +589,22 @@ impl LTree {
                     t = up;
                     continue;
                 }
-                // `up` is on the insert path and was not rebuilt.
-                let interval = self.params.interval(pn.height)?;
-                self.relabel_subtree(up, ell - ell % interval)?;
+                // ℓ lies under `t` (on the insert path): its first piece
+                // keeps `num(t)`.
+                let h = pn.height - 1;
+                let interval = self.params.interval(h)?;
+                self.renumber(first_piece, h, ell - ell % interval)?;
                 break;
             },
         }
         Ok(ids)
     }
 
-    /// Relabel leaf record `c` and its right siblings by child index:
-    /// `c` gets `num`, and each sibling after it the next label (leaves
-    /// sit at height 0, so child `j` is `num(parent) + j`).
-    fn relabel_suffix(&mut self, mut c: u32, mut num: u128) {
-        let mut written = 0u64;
-        while c != NIL {
-            self.store.set_label(c, num);
-            c = self.store.leaf(c).next;
-            num += 1;
-            written += 1;
-        }
-        self.stats.leaf_label_writes += written;
-        self.stats.relabel_events += 1;
-        self.stats.nodes_relabeled += written;
-        self.stats.max_relabeled_in_one_op = self.stats.max_relabeled_in_one_op.max(written);
-    }
-
     /// Split node `t` into `ceil(L / a^h)` near-equal leftmost-complete
     /// pieces spliced in its place (paper Section 2.3 for the exact
-    /// single-insert case where this is `s` complete trees).
-    fn split_node(&mut self, t: u32) -> Result<()> {
+    /// single-insert case where this is `s` complete trees). Returns the
+    /// first piece, which sits at `t`'s child index.
+    fn split_node(&mut self, t: u32) -> Result<u32> {
         let InteriorRec {
             height: h,
             parent,
@@ -644,7 +636,10 @@ impl LTree {
         self.store.node_mut(parent).fanout += m as u32 - 1;
         self.stats.splits += 1;
         self.stats.pieces_created += m;
-        Ok(())
+        Ok(match prev {
+            NIL => self.store.node(parent).first,
+            _ => self.store.node(prev).next,
+        })
     }
 
     /// Rebuild an overfull root (paper, Algorithm 1 lines 18–20,
@@ -680,7 +675,7 @@ impl LTree {
         self.root = root;
         self.height = plan.new_height;
         self.stats.root_rebuilds += 1;
-        self.relabel_subtree(root, 0)?;
+        self.renumber(root, plan.new_height, 0)?;
         Ok(())
     }
 
@@ -759,31 +754,33 @@ impl LTree {
         id
     }
 
-    /// Assign `num(u) = base` and recursively
-    /// `num(child_i) = num(parent) + i · B^{h(child)}` (paper Algorithm 1,
-    /// `Relabel`). Only leaf labels are stored: interior numbers ride the
-    /// walk's stack. Counts every number assigned, interior ones included.
-    fn relabel_subtree(&mut self, u: u32, base: u128) -> Result<()> {
-        let mut written = 1u64;
+    /// Give record `first` at `height` (0 = a leaf record) the number
+    /// `num`, each later sibling the next multiple of `B^height`, and
+    /// every record below them its number by the invariant (paper
+    /// Algorithm 1, `Relabel`, begun at `first`: earlier siblings keep
+    /// theirs). Only leaf labels are stored: interior numbers ride the
+    /// walk's stack. One relabel event, counting every number assigned.
+    fn renumber(&mut self, first: u32, height: u8, num: u128) -> Result<()> {
+        let mut written = 0u64;
         let mut leaf_writes = 0u64;
-        let mut stack = vec![(u, base)];
-        while let Some((id, num)) = stack.pop() {
-            let InteriorRec { first, height, .. } = *self.store.node(id);
-            let interval = self.params.interval(height - 1)?;
-            let (mut c, mut i) = (first, 0u128);
+        // Sibling runs still to number, as (first record, height,
+        // number); a run of leaves pushes none, so it allocates nothing.
+        let mut stack = Vec::new();
+        let mut run = Some((first, height, num));
+        while let Some((mut c, h, mut num)) = run {
+            let interval = self.params.interval(h)?;
             while c != NIL {
-                let child_num = num + i * interval;
-                if height == 1 {
-                    self.store.set_label(c, child_num);
-                    c = self.store.leaf(c).next;
+                if h == 0 {
+                    self.store.set_label(c, num);
                     leaf_writes += 1;
                 } else {
-                    stack.push((c, child_num));
-                    c = self.store.node(c).next;
+                    stack.push((self.store.node(c).first, h - 1, num));
                 }
                 written += 1;
-                i += 1;
+                c = self.store.next(c, h);
+                num += interval;
             }
+            run = stack.pop();
         }
         self.stats.relabel_events += 1;
         self.stats.nodes_relabeled += written;
@@ -919,7 +916,7 @@ impl LTree {
         tree.height = height;
         tree.n_leaves = n_leaves;
         tree.n_live = n_live;
-        tree.relabel_subtree(root, 0)?;
+        tree.renumber(root, height, 0)?;
         tree.stats.reset();
         Ok((tree, leaves))
     }

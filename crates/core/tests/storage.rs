@@ -7,7 +7,10 @@
 //!   and batch inserts, scattered deletes and a `compact()`, pinned as
 //!   the whole [`Stats`] block, the `LTRS` image's sealed trailer and a
 //!   digest of the label sequence — storage changes must reproduce the
-//!   algorithm bit for bit;
+//!   algorithm bit for bit (the three relabel counters were re-recorded
+//!   once a split renumbered only what moves; everything else keeps its
+//!   earlier recording);
+//! * a split renumbers only its pieces and the siblings to their right;
 //! * a rejected `compact()` changes nothing;
 //! * a space ceiling on `memory_bytes() / live_len()` at n₀ = 10⁵.
 
@@ -59,6 +62,47 @@ fn oversized_batches_are_typed_errors_that_change_nothing() {
     let err = LTree::bulk_load(params, 1 << 40).unwrap_err();
     assert_eq!(err, LTreeError::CapacityExceeded { requested: 1 << 40 });
     assert!(err.to_string().contains("1099511627776"), "{err}");
+}
+
+/// A split renumbers from its first piece, not from its parent: the
+/// children left of the split node `t` keep their child index, so their
+/// labels are neither rewritten nor counted. At `(4,2)` (`B = 5`) a bulk
+/// load of 5 leaves gives the root's second child `up` one height-1
+/// child with one leaf; a batch of 4 splits it into `a` (2 leaves), `t`
+/// (2) and `c` (1), and one insert grows `t` to 3. The next insert
+/// brings `t` to its threshold of 4 and `up` to 7 of its 8, so `t`
+/// alone splits.
+#[test]
+fn a_split_renumbers_from_its_first_piece() {
+    let params = Params::new(4, 2).unwrap();
+    let (mut tree, leaves) = LTree::bulk_load(params, 5).unwrap();
+    let batch = tree.insert_many_after(leaves[4], 4).unwrap();
+    let (a, t_first) = ([leaves[4], batch[0]], batch[1]);
+    tree.insert_after(t_first).unwrap();
+    assert_eq!(labels(&tree), [0, 1, 5, 6, 25, 26, 30, 31, 32, 35]);
+    let before = tree.stats().clone();
+
+    tree.insert_after(t_first).unwrap();
+    tree.check_invariants().unwrap();
+    let stats = tree.stats();
+    assert_eq!(stats.splits - before.splits, 1);
+    assert_eq!(stats.root_rebuilds, before.root_rebuilds);
+    assert_eq!(labels(&tree), [0, 1, 5, 6, 25, 26, 30, 31, 35, 36, 40]);
+    for (leaf, label) in a.into_iter().zip([25, 26]) {
+        assert_eq!(
+            tree.label(leaf).unwrap().get(),
+            label,
+            "`a` keeps its labels"
+        );
+    }
+    // The writes run from `t`'s first leaf to `up`'s last (the tree's),
+    // the new leaf included: `t`'s 4 leaves and `c`'s one.
+    let moved = tree.leaves().skip_while(|&l| l != t_first).count();
+    assert_eq!(moved, 5);
+    assert_eq!(
+        stats.leaf_label_writes - before.leaf_label_writes,
+        moved as u64
+    );
 }
 
 /// `compact()` rebuilds as a bulk load would, at `f/s = 2`: 200 leaves
@@ -164,7 +208,11 @@ fn bytes_per_live_item_stay_under_the_ceiling() {
 
 /// In `Params::presets()` order. Recorded from an earlier implementation
 /// of the tree over a different node layout, so they pin the algorithm,
-/// not the storage under it.
+/// not the storage under it. The three relabel counters
+/// (`nodes_relabeled`, `leaf_label_writes`, `max_relabeled_in_one_op`)
+/// were re-recorded when a split began to renumber from its first piece
+/// rather than from its parent; every label, trailer and other counter
+/// keeps its earlier recording.
 fn goldens() -> Vec<Golden> {
     vec![
         // (4,2)
@@ -176,8 +224,8 @@ fn goldens() -> Vec<Golden> {
                 deletes: 640,
                 count_updates: 3232,
                 relabel_events: 301,
-                nodes_relabeled: 60399,
-                leaf_label_writes: 30246,
+                nodes_relabeled: 55134,
+                leaf_label_writes: 27619,
                 max_relabeled_in_one_op: 9035,
                 splits: 80,
                 pieces_created: 233,
@@ -197,9 +245,9 @@ fn goldens() -> Vec<Golden> {
                 deletes: 640,
                 count_updates: 1692,
                 relabel_events: 301,
-                nodes_relabeled: 53501,
-                leaf_label_writes: 40118,
-                max_relabeled_in_one_op: 6421,
+                nodes_relabeled: 39037,
+                leaf_label_writes: 29308,
+                max_relabeled_in_one_op: 6023,
                 splits: 78,
                 pieces_created: 265,
                 root_rebuilds: 2,
@@ -218,8 +266,8 @@ fn goldens() -> Vec<Golden> {
                 deletes: 640,
                 count_updates: 1968,
                 relabel_events: 301,
-                nodes_relabeled: 42383,
-                leaf_label_writes: 28328,
+                nodes_relabeled: 37169,
+                leaf_label_writes: 24864,
                 max_relabeled_in_one_op: 6775,
                 splits: 76,
                 pieces_created: 361,
@@ -239,8 +287,8 @@ fn goldens() -> Vec<Golden> {
                 deletes: 640,
                 count_updates: 1526,
                 relabel_events: 301,
-                nodes_relabeled: 36597,
-                leaf_label_writes: 27596,
+                nodes_relabeled: 29690,
+                leaf_label_writes: 22419,
                 max_relabeled_in_one_op: 6023,
                 splits: 73,
                 pieces_created: 514,
@@ -260,8 +308,8 @@ fn goldens() -> Vec<Golden> {
                 deletes: 640,
                 count_updates: 1106,
                 relabel_events: 301,
-                nodes_relabeled: 31988,
-                leaf_label_writes: 28191,
+                nodes_relabeled: 25020,
+                leaf_label_writes: 22106,
                 max_relabeled_in_one_op: 5162,
                 splits: 66,
                 pieces_created: 587,

@@ -275,8 +275,10 @@ impl VirtualLTree {
     }
 
     /// Split the virtual node at height `hs` (base `t_base`) into
-    /// `pieces` near-equal complete subtrees; relabel the whole parent
-    /// range (paper: "call Relabel(parent(t), num(parent(t)))").
+    /// `pieces` near-equal complete subtrees, and relabel from `t`'s
+    /// interval to the end of the parent's (base `p_base`). The paper
+    /// calls `Relabel(parent(t), num(parent(t)))`, but the siblings left
+    /// of `t` keep their child slots, and so their labels.
     #[allow(clippy::too_many_arguments)]
     fn split_and_relabel(
         &mut self,
@@ -291,7 +293,7 @@ impl VirtualLTree {
         let params = self.params;
         let t_interval = params.interval(hs)?;
         let p_interval = params.interval(hs + 1)?;
-        let entries = self.tree.drain_range(p_base, p_base + p_interval);
+        let entries = self.tree.drain_range(t_base, p_base + p_interval);
 
         // Rebuild the ordered item sequence with the new leaves spliced
         // into the t-group right before `insert_before_label`.
@@ -315,7 +317,7 @@ impl VirtualLTree {
 
         // Walk the sequence group by group, assigning new labels.
         let mut batch: Vec<(u128, u32)> = Vec::with_capacity(seq.len());
-        let mut child_slot: u128 = 0;
+        let mut child_slot = (t_base - p_base) / t_interval;
         let mut i = 0usize;
         while i < seq.len() {
             // Determine the group of the leaf at `i`: new leaves belong
@@ -353,7 +355,7 @@ impl VirtualLTree {
                     off += size as usize;
                 }
             } else {
-                // Untouched sibling subtree: rigid shift to its new slot.
+                // A sibling right of `t`: rigid shift to its new slot.
                 let new_base = p_base + child_slot * t_interval;
                 child_slot += 1;
                 for &(old, idx) in group {
@@ -429,9 +431,11 @@ impl VirtualLTree {
         Ok(())
     }
 
+    /// Charge the B-tree's touches to the stats. Each mutator resets the
+    /// touch counter when it starts and syncs it when it ends, so the
+    /// lookups of read-only calls are not counted as maintenance.
     fn sync_touches(&mut self) {
         self.stats.node_touches += self.tree.touches();
-        self.tree.reset_touches();
     }
 }
 
@@ -519,6 +523,7 @@ impl OrderedLabelingMut for VirtualLTree {
     }
 
     fn insert_first(&mut self) -> Result<LeafHandle> {
+        self.tree.reset_touches();
         let out = match self.tree.kth(0) {
             Some((label, _)) => {
                 let base = self.params.base();
@@ -533,6 +538,7 @@ impl OrderedLabelingMut for VirtualLTree {
     }
 
     fn insert_after(&mut self, anchor: LeafHandle) -> Result<LeafHandle> {
+        self.tree.reset_touches();
         let x = self.item(anchor)?.label;
         let base = self.params.base();
         let parent_base = x / base * base;
@@ -542,6 +548,7 @@ impl OrderedLabelingMut for VirtualLTree {
     }
 
     fn insert_before(&mut self, anchor: LeafHandle) -> Result<LeafHandle> {
+        self.tree.reset_touches();
         let x = self.item(anchor)?.label;
         let base = self.params.base();
         let parent_base = x / base * base;
@@ -571,6 +578,7 @@ impl BatchLabeling for VirtualLTree {
     /// Native Section 4.1 batch over the virtual structure: one violator
     /// search and one relabel pass for the whole batch.
     fn insert_many_after(&mut self, anchor: LeafHandle, k: usize) -> Result<Vec<LeafHandle>> {
+        self.tree.reset_touches();
         let x = self.item(anchor)?.label;
         let base = self.params.base();
         let parent_base = x / base * base;
@@ -582,9 +590,7 @@ impl BatchLabeling for VirtualLTree {
 
 impl Instrumented for VirtualLTree {
     fn scheme_stats(&self) -> SchemeStats {
-        let mut s = self.stats;
-        s.node_touches += self.tree.touches();
-        s
+        self.stats
     }
 
     fn reset_scheme_stats(&mut self) {

@@ -208,3 +208,47 @@ fn wide_labels_past_u64_equivalence() {
     fresh.bulk_build(live.len()).unwrap();
     assert_eq!(materialized_labels(&mat), fresh.labels_in_order());
 }
+
+/// Both trees do the same relabel work, not just produce the same
+/// labels: equal `label_writes` and `relabel_events` after one seeded
+/// stream of single inserts and batches of 2–119 that cascade.
+#[test]
+fn virtual_and_materialized_count_the_same_relabel_work() {
+    for (f, s) in [(4, 2), (8, 2), (16, 4)] {
+        let params = Params::new(f, s).unwrap();
+        let (mut mat, mat_handles) = LTree::bulk_load(params, 200).unwrap();
+        let mut virt = VirtualLTree::new(params);
+        let virt_handles = virt.bulk_build(200).unwrap();
+        let mut items: Vec<(LeafId, LeafHandle)> =
+            mat_handles.into_iter().zip(virt_handles).collect();
+        let mut rng = SplitMix64::new(23);
+        for _ in 0..3_000 {
+            let (m, v) = items[rng.gen_range(0..items.len())];
+            match rng.gen_range(0..8) {
+                0..=1 => {
+                    let k = rng.gen_range(2..120);
+                    let ms = mat.insert_many_after(m, k).unwrap();
+                    let vs = BatchLabeling::insert_many_after(&mut virt, v, k).unwrap();
+                    items.extend(ms.into_iter().zip(vs));
+                }
+                2..=4 => items.push((
+                    mat.insert_before(m).unwrap(),
+                    virt.insert_before(v).unwrap(),
+                )),
+                _ => items.push((mat.insert_after(m).unwrap(), virt.insert_after(v).unwrap())),
+            }
+        }
+        assert!(mat.stats().cascade_splits > 0, "({f},{s}): no cascade");
+        assert_eq!(
+            materialized_labels(&mat),
+            virt.labels_in_order(),
+            "({f},{s})"
+        );
+        let (ms, vs) = (mat.scheme_stats(), virt.scheme_stats());
+        assert_eq!(ms.label_writes, vs.label_writes, "({f},{s}): label writes");
+        assert_eq!(
+            ms.relabel_events, vs.relabel_events,
+            "({f},{s}): relabel events"
+        );
+    }
+}

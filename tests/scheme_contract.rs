@@ -648,10 +648,33 @@ fn oversized_default_batches_are_typed_errors_that_change_nothing() {
             }
             other => panic!("{spec}: expected CapacityExceeded, got {other:?}"),
         }
-        // Stats first: `list-label` counts its cursor walk's touches.
-        assert_eq!(s.scheme_stats(), stats, "{spec}");
         assert_eq!((s.len(), s.live_len()), (64, 64), "{spec}");
         assert_eq!(labels(&*s), before, "{spec}");
+        assert_eq!(s.scheme_stats(), stats, "{spec}");
+    }
+}
+
+/// Reads are free: `SchemeStats` counts maintenance, so a read-only pass
+/// (a cursor walk, then `label_of` and `compare` on every item) leaves
+/// it unchanged. Every spec, plus the two B-tree-backed schemes under
+/// `sharded`.
+#[test]
+fn read_only_calls_leave_the_stats_unchanged() {
+    let sharded = ["sharded(2,virtual(4,2))", "sharded(2,list-label)"];
+    for spec in SPECS.iter().copied().chain(sharded) {
+        let mut s = build(spec);
+        let hs = s.bulk_build(64).unwrap();
+        for i in 0..20 {
+            s.insert_after(hs[i * 3]).unwrap();
+        }
+        let stats = s.scheme_stats();
+        let order: Vec<LeafHandle> = Cursor::new(&*s).collect();
+        assert_eq!(order.len(), 84, "{spec}");
+        for &h in &order {
+            s.label_of(h).unwrap();
+            s.compare(order[0], h).unwrap();
+        }
+        assert_eq!(s.scheme_stats(), stats, "{spec}: reads were counted");
     }
 }
 
