@@ -15,8 +15,9 @@
 //! standard workload shapes, prints the comparison table and writes the
 //! machine-readable `BENCH_sweep.json` (schema in `crates/bench/README.md`).
 //! With `--baseline`, the run exits non-zero when any cell errors, or
-//! when an L-Tree-family cell's label-write count or `memory_bytes`
-//! exceeds the baseline's (no headroom: both repeat exactly). `--summary PATH`
+//! when an L-Tree-family cell's label-write count, node-touch count or
+//! `memory_bytes` exceeds the baseline's (no headroom: all three repeat
+//! exactly). `--summary PATH`
 //! additionally writes just the markdown table to `PATH` — CI appends it
 //! to `$GITHUB_STEP_SUMMARY` so the comparison shows on the PR itself,
 //! not only in the artifact.

@@ -6,20 +6,21 @@
 //! profile)` pair one seeded script is generated, and **every scheme
 //! spec replays the same script** as batched splices. Each cell records
 //! the [`SchemeStats`] counters (the paper's "nodes
-//! accessed for searching or relabeling" currency), label width, memory,
-//! wall time, and — via the `traced(…)` observability wrapper every cell
-//! replays under — in-scheme time and per-call p50/p99 latency quantiles
-//! (reported and persisted, never gated: latency is machine-dependent);
-//! a cell whose scheme construction or replay fails carries the error
-//! instead of silently vanishing.
+//! accessed for searching or relabeling" currency), label width, the
+//! spec's own memory, wall time, and — via the `traced(…)` observability
+//! wrapper every cell replays under — in-scheme time and per-call p50/p99
+//! latency quantiles (reported and persisted, never gated: latency is
+//! machine-dependent); a cell whose scheme construction or replay fails
+//! carries the error instead of silently vanishing.
 //!
 //! Results render as the usual markdown table *and* serialize to the
 //! versioned `BENCH_sweep.json` (schema documented in
 //! `crates/bench/README.md`) that CI uploads as an artifact and diffs
 //! against the checked-in `BENCH_baseline.json`: any errored cell, or an
-//! L-Tree-family cell whose label-write count or `memory_bytes` is above
-//! the baseline's, fails the build, so the perf trajectory is tracked by
-//! the machine instead of by eyeballing terminal tables.
+//! L-Tree-family cell whose label-write count, node-touch count or
+//! `memory_bytes` is above the baseline's, fails the build, so the perf
+//! trajectory is tracked by the machine instead of by eyeballing terminal
+//! tables.
 
 use crate::json::Json;
 use crate::table::{f, Table};
@@ -27,8 +28,8 @@ use crate::Scale;
 use ltree::gen::docedit::run_document_edits;
 use ltree::gen::{generate_edits, standard_profiles, EditProfile, WorkloadReport};
 use ltree::metrics::{HistogramSnapshot, Metric, MetricValue};
-use ltree::obs::mutation_histogram;
-use ltree::{DynScheme, LTreeError, SchemeStats};
+use ltree::obs::{mutation_histogram, TracedScheme};
+use ltree::{DynScheme, Instrumented, LTreeError, SchemeStats};
 
 /// Version of the `BENCH_sweep.json` schema. Bump on any breaking field
 /// change; consumers must reject versions they do not know.
@@ -231,7 +232,9 @@ pub struct CellMetrics {
     pub relabel_events: u64,
     /// Bits needed for any label at the end.
     pub label_space_bits: u32,
-    /// Approximate heap use at the end, bytes.
+    /// Approximate heap use of the named spec at the end, bytes — read
+    /// with the tracer the cell replays under unwrapped, so the tracer's
+    /// histograms are not counted.
     pub memory_bytes: u64,
     /// Wall-clock of the replay, nanoseconds (driver bookkeeping
     /// included; machine-dependent, excluded from baseline checks).
@@ -252,7 +255,7 @@ pub struct CellMetrics {
 }
 
 impl CellMetrics {
-    fn from_report(r: &WorkloadReport, metrics: &[Metric]) -> Self {
+    fn from_report(r: &WorkloadReport, metrics: &[Metric], memory_bytes: u64) -> Self {
         let (p50_ns, p99_ns) = latency_quantiles(metrics);
         let SchemeStats {
             label_writes,
@@ -267,7 +270,7 @@ impl CellMetrics {
             node_touches,
             relabel_events,
             label_space_bits: r.label_space_bits,
-            memory_bytes: r.memory_bytes as u64,
+            memory_bytes,
             wall_ns: r.wall.as_nanos() as u64,
             scheme_wall_ns: mutation_histogram(metrics).sum,
             p50_ns,
@@ -317,12 +320,14 @@ fn latency_quantiles(metrics: &[Metric]) -> (u64, u64) {
 /// and metric counters.
 type Observed = (CellMetrics, Vec<(String, SchemeStats)>, Vec<(String, u64)>);
 
-/// Read a replayed cell's numbers off its scheme. The breakdown is read
-/// before the one metrics snapshot, so a remote cell's `net/` counters
-/// include both collection round trips.
-fn observe(scheme: &dyn DynScheme, report: &WorkloadReport) -> Observed {
-    let shards = scheme.stats_breakdown();
-    let metrics = scheme.metrics();
+/// Read a replayed cell's numbers off its traced stack. The breakdown is
+/// read before the one metrics snapshot, so a remote cell's `net/`
+/// counters include both collection round trips; `memory_bytes` is read
+/// last, off the unwrapped spec, so it counts the spec's own bytes and
+/// not the tracer's histograms.
+fn observe(traced: TracedScheme<Box<dyn DynScheme>>, report: &WorkloadReport) -> Observed {
+    let shards = traced.stats_breakdown();
+    let metrics = traced.metrics();
     let counters = metrics
         .iter()
         .filter(|m| CELL_COUNTER_PREFIXES.iter().any(|p| m.name.starts_with(p)))
@@ -331,16 +336,19 @@ fn observe(scheme: &dyn DynScheme, report: &WorkloadReport) -> Observed {
             _ => None,
         })
         .collect();
-    (CellMetrics::from_report(report, &metrics), shards, counters)
+    let memory_bytes = traced.into_inner().memory_bytes() as u64;
+    let m = CellMetrics::from_report(report, &metrics, memory_bytes);
+    (m, shards, counters)
 }
 
 /// Run the sweep. Per-cell failures are *recorded*, not propagated — a
 /// broken scheme must not hide the rest of the matrix.
 ///
-/// Every cell replays under a `traced(…)` wrapper (never part of the
-/// recorded spec string): the wrapper's per-op latency histograms are
-/// where the cell's `p50_ns`/`p99_ns` figures come from, and its
-/// counters/breakdown forward to the inner scheme untouched, so the
+/// Every cell replays under a [`TracedScheme`] the sweep wraps around the
+/// built spec (never part of the recorded spec string): the wrapper's
+/// per-op latency histograms are where the cell's `p50_ns`/`p99_ns`
+/// figures come from, its counters/breakdown forward to the inner scheme
+/// untouched, and `memory_bytes` is read off the unwrapped spec, so the
 /// deterministic columns are exactly what the bare spec would record.
 pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
     let registry = ltree::default_registry();
@@ -355,10 +363,11 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
             let script = generate_edits(profile, n, ops, cfg.seed);
             for spec in &cfg.specs {
                 let measured = registry
-                    .build(&format!("traced({spec})"))
-                    .and_then(|mut scheme| {
-                        let report = script.replay(&mut scheme)?;
-                        Ok(observe(&*scheme, &report))
+                    .build(spec)
+                    .and_then(|scheme| {
+                        let mut traced = TracedScheme::new(scheme);
+                        let report = script.replay(&mut traced)?;
+                        Ok(observe(traced, &report))
                     })
                     .map_err(|e: LTreeError| e.to_string());
                 cells.push(cell(spec, profile.name(), n, ops, measured));
@@ -370,12 +379,13 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
             // two per element, matching the leaf-stream cells).
             for spec in &cfg.specs {
                 let measured = registry
-                    .build(&format!("traced({spec})"))
+                    .build(spec)
                     .map_err(|e| e.to_string())
                     .and_then(|scheme| {
-                        run_document_edits(scheme, n / 2, ops, cfg.seed).map_err(|e| e.to_string())
+                        run_document_edits(TracedScheme::new(scheme), n / 2, ops, cfg.seed)
+                            .map_err(|e| e.to_string())
                     })
-                    .map(|(report, scheme)| observe(&*scheme, &report));
+                    .map(|(report, traced)| observe(traced, &report));
                 cells.push(cell(spec, "doc-edit", n, ops, measured));
             }
         }
@@ -486,7 +496,8 @@ impl SweepReport {
         t.note("checkpoints, not fsyncs — also reported, never gated).");
         t.note("p50/p99 µs = per-call latency quantiles from the traced wrapper's");
         t.note("obs/op/* histograms every cell replays under (machine-dependent, so");
-        t.note("reported and persisted to the JSON but never gated, like ms).");
+        t.note("reported and persisted to the JSON but never gated, like ms). KiB =");
+        t.note("the named spec's own memory; the tracer's histograms are not counted.");
         for c in &self.cells {
             let overhead = |twin: Option<String>| match twin.and_then(|t| self.overhead(c, &t)) {
                 None => "—".into(),
@@ -787,13 +798,13 @@ impl SweepReport {
 
 /// Compare a fresh sweep against a checked-in baseline: for every
 /// L-Tree-family cell (spec starting with `ltree`, `virtual`, `sharded`
-/// or `served`) present in both, neither the current **label-write
-/// count** nor its **`memory_bytes`** may exceed the baseline's, by even
-/// one. Both repeat exactly: the counters are seeded and deterministic,
-/// and `memory_bytes` counts buffer capacity after the same seeded
-/// script, so neither needs headroom (wall-clock fields are deliberately
-/// ignored). Returns the list of violations, empty when the sweep is
-/// clean.
+/// or `served`) present in both, none of the current **label-write
+/// count**, **node-touch count** and **`memory_bytes`** may exceed the
+/// baseline's, by even one. All three repeat exactly: the counters are
+/// seeded and deterministic, and `memory_bytes` counts buffer capacity
+/// after the same seeded script, so none needs headroom (wall-clock
+/// fields are deliberately ignored). Returns the list of violations,
+/// empty when the sweep is clean.
 pub fn compare_with_baseline(current: &SweepReport, baseline: &SweepReport) -> Vec<String> {
     let mut problems = Vec::new();
     for cur in &current.cells {
@@ -815,6 +826,12 @@ pub fn compare_with_baseline(current: &SweepReport, baseline: &SweepReport) -> V
                     problems.push(format!(
                         "{} × {} × n={}: label writes {} exceed baseline {}",
                         cur.spec, cur.workload, cur.n, c.label_writes, b.label_writes
+                    ));
+                }
+                if c.node_touches > b.node_touches {
+                    problems.push(format!(
+                        "{} × {} × n={}: node touches {} exceed baseline {}",
+                        cur.spec, cur.workload, cur.n, c.node_touches, b.node_touches
                     ));
                 }
                 if c.memory_bytes > b.memory_bytes {
@@ -1077,6 +1094,44 @@ mod tests {
         );
     }
 
+    /// A cell's `memory_bytes` is the named spec's own: the same seeded
+    /// script replayed on the bare spec leaves exactly as many bytes, so
+    /// the tracer every cell replays under is not counted.
+    #[test]
+    fn memory_column_is_the_named_specs_own() {
+        let cfg = tiny_config();
+        let report = run_sweep(&cfg);
+        let registry = ltree::default_registry();
+        let profiles = cfg
+            .profiles
+            .as_ref()
+            .expect("tiny config fixes its profiles");
+        let n = cfg.sizes[0];
+        let local = report
+            .cells
+            .iter()
+            .filter(|c| !c.spec.starts_with("served"));
+        let mut saw = 0;
+        for c in local {
+            let mut bare = registry.build(&c.spec).unwrap();
+            let bare_report = match profiles.iter().find(|p| p.name() == c.workload) {
+                Some(&p) => generate_edits(p, n, c.ops, cfg.seed)
+                    .replay(&mut bare)
+                    .unwrap(),
+                None => run_document_edits(bare, n / 2, c.ops, cfg.seed).unwrap().0,
+            };
+            assert_eq!(
+                c.outcome.as_ref().unwrap().memory_bytes,
+                bare_report.memory_bytes as u64,
+                "{} × {}",
+                c.spec,
+                c.workload
+            );
+            saw += 1;
+        }
+        assert_eq!(saw, 4 * 6, "four local specs × six workloads");
+    }
+
     /// Cost columns and metric counters repeat exactly between runs —
     /// except the client's `net/bytes-in`, which includes the size of
     /// the metrics scrape itself, latency histograms and all.
@@ -1127,6 +1182,21 @@ mod tests {
         assert!(compare_with_baseline(&broken, &base)
             .iter()
             .any(|p| p.contains("boom")));
+        // One node touch over the baseline is a regression too.
+        let mut busier = base.clone();
+        for c in &mut busier.cells {
+            if let Ok(m) = &mut c.outcome {
+                m.node_touches += 1;
+            }
+        }
+        let problems = compare_with_baseline(&busier, &base);
+        assert!(
+            !problems.is_empty()
+                && problems
+                    .iter()
+                    .all(|p| p.contains("node touches") && p.contains("ltree")),
+            "only L-Tree-family node touches are gated: {problems:?}"
+        );
         // Memory has no headroom either.
         let mut bigger = base.clone();
         for c in &mut bigger.cells {

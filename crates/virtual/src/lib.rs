@@ -232,10 +232,8 @@ impl VirtualLTree {
                     let pieces = ceil_div(t_count, params.subtree_capacity(hs));
                     // Children of the virtual parent = occupied child
                     // slots (consecutive by the labeling invariant).
-                    let p_count = self.count_range(p_base, p_base + p_interval);
-                    let groups = self.occupied_child_slots(p_base, hs);
+                    let groups = self.occupied_child_slots(p_base, p_interval, t_interval);
                     let after = groups - 1 + pieces;
-                    let _ = p_count;
                     if after <= u64::from(params.f()) {
                         return self.split_and_relabel(
                             hs,
@@ -257,21 +255,15 @@ impl VirtualLTree {
     }
 
     /// Number of occupied child slots (groups) of the virtual node with
-    /// base label `p_base` whose children sit at height `child_h`. Child
-    /// slots are consecutive from 0, so this is one successor probe of
-    /// the last occupied slot — but we count conservatively by probing
-    /// slots left to right (bounded by `f`).
-    fn occupied_child_slots(&mut self, p_base: u128, child_h: u8) -> u64 {
-        let interval = self.params.interval(child_h).expect("validated height");
-        let mut slots = 0u64;
-        for i in 0..u128::from(self.params.f()) {
-            let lo = p_base + i * interval;
-            if self.count_range(lo, lo + interval) == 0 {
-                break;
-            }
-            slots += 1;
+    /// base label `p_base` and interval `p_interval`, whose children each
+    /// span `t_interval`. Child slots are consecutive from 0, so this is
+    /// one probe: the slot of the last label below the node's end.
+    fn occupied_child_slots(&mut self, p_base: u128, p_interval: u128, t_interval: u128) -> u64 {
+        self.range_probes += 1;
+        match self.tree.predecessor(p_base + p_interval) {
+            Some((last, _)) if last >= p_base => ((last - p_base) / t_interval) as u64 + 1,
+            _ => 0,
         }
-        slots
     }
 
     /// Split the virtual node at height `hs` (base `t_base`) into
@@ -734,5 +726,16 @@ mod tests {
             "one probe per level minimum"
         );
         assert!(v.scheme_stats().node_touches > 0);
+
+        // Figure 2's split: one probe per level, one for the split node's
+        // leaves and one for its parent's children.
+        let mut v = VirtualLTree::new(params);
+        let hs = v.bulk_build(8).unwrap();
+        let d = v.insert_before(hs[2]).unwrap();
+        v.reset_scheme_stats();
+        v.insert_after(d).unwrap();
+        assert_eq!(v.height(), 3);
+        assert_eq!(v.range_probes(), u64::from(v.height()) + 2);
+        assert_eq!(v.labels_in_order(), [0, 1, 5, 6, 10, 11, 25, 26, 30, 31]);
     }
 }

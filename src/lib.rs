@@ -97,8 +97,8 @@ pub mod checked {
     pub use ltree_checked::*;
 }
 
-/// The observability layer: metrics registry, latency histograms, span
-/// event log and the `traced(inner)` wrapper.
+/// The observability layer: metrics registry, latency histograms and the
+/// `traced(inner)` wrapper.
 pub mod obs {
     pub use ltree_obs::*;
 }
@@ -142,7 +142,7 @@ pub mod rel {
 /// | `remote` | client for external label server(s) | `(addrs[,options])` |
 /// | `durable` | write-ahead logged, snapshot-checkpointed wrapper | `(inner[,dir=PATH,sync=always\|never,checkpoint_every=N])` |
 /// | `checked` | contract auditor over any scheme | `(inner[,every=N])` |
-/// | `traced` | latency-tracing wrapper over any scheme | `(inner[,slow_us=N])` |
+/// | `traced` | latency-tracing wrapper over any scheme | `(inner)` |
 ///
 /// `sharded`, `served`, `durable`, `checked` and `traced` compose: their inner
 /// argument is any spec this registry resolves, recursively —

@@ -56,7 +56,7 @@ const SPECS: &[&str] = &[
     // The tracing wrapper must be behaviorally transparent: the whole
     // contract holds unchanged with it in the stack, at any layer.
     "traced(ltree(4,2))",
-    "traced(gap,slow_us=0)",
+    "traced(gap)",
     "served(traced(ltree(4,2)))",
     "traced(durable(ltree(4,2)))",
     "sharded(2,24,4,traced(ltree(4,2)))",
