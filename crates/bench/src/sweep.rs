@@ -797,21 +797,22 @@ impl SweepReport {
 }
 
 /// Compare a fresh sweep against a checked-in baseline: for every
-/// L-Tree-family cell (spec starting with `ltree`, `virtual`, `sharded`
-/// or `served`) present in both, none of the current **label-write
-/// count**, **node-touch count** and **`memory_bytes`** may exceed the
-/// baseline's, by even one. All three repeat exactly: the counters are
-/// seeded and deterministic, and `memory_bytes` counts buffer capacity
-/// after the same seeded script, so none needs headroom (wall-clock
-/// fields are deliberately ignored). Returns the list of violations,
-/// empty when the sweep is clean.
+/// L-Tree-family cell (spec starting with `ltree`, `virtual`, `sharded`,
+/// `served` or `durable`) present in both, none of the current
+/// **label-write count**, **node-touch count** and **`memory_bytes`**
+/// may exceed the baseline's, by even one. All three repeat exactly:
+/// the counters are seeded and deterministic, and `memory_bytes` counts
+/// buffer capacity after the same seeded script, so none needs headroom
+/// (wall-clock fields are deliberately ignored). Returns the list of
+/// violations, empty when the sweep is clean.
 pub fn compare_with_baseline(current: &SweepReport, baseline: &SweepReport) -> Vec<String> {
     let mut problems = Vec::new();
     for cur in &current.cells {
         if !(cur.spec.starts_with("ltree")
             || cur.spec.starts_with("virtual")
             || cur.spec.starts_with("sharded")
-            || cur.spec.starts_with("served"))
+            || cur.spec.starts_with("served")
+            || cur.spec.starts_with("durable"))
         {
             continue;
         }
@@ -1211,6 +1212,24 @@ mod tests {
                     .iter()
                     .all(|p| p.contains("memory") && p.contains("ltree")),
             "only L-Tree-family memory is gated: {problems:?}"
+        );
+        // So are the durable wrapper's cells: its handle table is part
+        // of the memory column.
+        let mut durable = base.clone();
+        durable.cells.retain(|c| c.spec == "ltree(4,2)");
+        for c in &mut durable.cells {
+            c.spec = "durable(ltree(4,2),sync=never)".into();
+        }
+        let mut heavier = durable.clone();
+        if let Ok(m) = &mut heavier.cells[0].outcome {
+            m.memory_bytes += 1;
+        }
+        let problems = compare_with_baseline(&heavier, &durable);
+        assert!(
+            problems.len() == 1
+                && problems[0].contains("durable")
+                && problems[0].contains("memory"),
+            "one byte over a durable cell is a regression: {problems:?}"
         );
     }
 

@@ -205,8 +205,9 @@ enum Instrument {
 
 /// A registry of named instruments. Handing out `Arc`s keeps the hot
 /// path lock-free: callers resolve their instruments once and record
-/// without touching the registry again; only registration and
-/// [`snapshot`](Self::snapshot) take the internal lock.
+/// without touching the registry again; only registration,
+/// [`fold_counter`](Self::fold_counter) and [`snapshot`](Self::snapshot)
+/// take the internal lock.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     inner: Mutex<BTreeMap<String, Instrument>>,
@@ -253,6 +254,28 @@ impl MetricsRegistry {
         {
             Instrument::Histogram(h) => Arc::clone(h),
             _ => panic!("metric `{name}` is already registered as a non-histogram"),
+        }
+    }
+
+    /// Remove the counter `from` and add its count to the counter `into`
+    /// (created on first use), under one lock: a snapshot counts the
+    /// value once, in one series or the other. For a series whose
+    /// subject is gone, such as a closed connection's. An unregistered
+    /// `from` folds nothing; either name registered as another kind is
+    /// a bug and panics, as in [`counter`](Self::counter).
+    pub fn fold_counter(&self, from: &str, into: &str) {
+        let mut map = self.inner.lock().unwrap_or_else(|p| p.into_inner());
+        let count = match map.remove(from) {
+            None => return,
+            Some(Instrument::Counter(c)) => c.get(),
+            Some(_) => panic!("metric `{from}` is not a counter"),
+        };
+        match map
+            .entry(into.to_owned())
+            .or_insert_with(|| Instrument::Counter(Arc::new(Counter::new())))
+        {
+            Instrument::Counter(c) => c.add(count),
+            _ => panic!("metric `{into}` is already registered as a non-counter"),
         }
     }
 
@@ -625,6 +648,19 @@ mod tests {
         assert_eq!(a.get(), 0, "counters reset");
         assert_eq!(g.get(), 3, "gauges keep their level");
         assert_eq!(h.count(), 0, "histograms reset");
+    }
+
+    #[test]
+    fn folded_counters_leave_the_snapshot_and_add_up() {
+        let reg = MetricsRegistry::new();
+        for (conn, n) in [("net/conn1/round-trips", 3), ("net/conn2/round-trips", 4)] {
+            reg.counter(conn).add(n);
+            reg.fold_counter(conn, "net/closed-conns/round-trips");
+        }
+        reg.fold_counter("net/conn9/round-trips", "net/closed-conns/round-trips");
+        let snap = reg.snapshot();
+        assert_eq!(snap.len(), 1, "only the total is left: {snap:?}");
+        assert_eq!(reg.counter("net/closed-conns/round-trips").get(), 7);
     }
 
     #[test]

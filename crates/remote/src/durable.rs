@@ -23,13 +23,22 @@
 //! ## Stable handles across restarts
 //!
 //! The wrapper mints its own **durable handles** from a deterministic
-//! counter and keeps a two-way map to the inner scheme's handles. The
+//! counter and translates them to the inner scheme's handles. The
 //! log records mutations in durable-handle terms, so replaying them
 //! re-mints identical handles against a freshly rebuilt inner scheme —
 //! a client holding handles from before a crash can keep using them
 //! after recovery, even though the inner scheme (and its labels) were
 //! rebuilt from scratch. Labels may differ after recovery; the *list*
 //! (and therefore every order comparison) may not.
+//!
+//! Durable handles run `1, 2, 3, …`, so the translation is a dense
+//! table of every handle ever minted: a slot vector of inner handles
+//! indexed by `handle − 1`, a bitset of deleted slots, and an
+//! open-addressing table of `u32` slot indices that the cursor uses to
+//! map an inner handle back (it stores no keys: a probe checks the
+//! slot vector). `memory_bytes` counts all three by capacity, about
+//! 21 B per handle ever minted. A checkpoint lists the live handles in
+//! cursor order and the dead ones in one ascending scan of the bitset.
 //!
 //! Reads see live items only: the cursor skips deleted handles, a
 //! deleted durable handle answers [`LTreeError::DeletedLeaf`] forever
@@ -46,7 +55,6 @@
 //! directory under the OS temp dir is created and removed again when
 //! the scheme is dropped.
 
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 
 use ltree_core::metrics::Metric;
@@ -163,21 +171,257 @@ impl Snapshot {
     }
 }
 
+/// Most handles one [`DurableScheme`] mints: a probe bucket holds a
+/// `u32` slot index, and [`EMPTY`] is not one.
+const MAX_HANDLES: usize = u32::MAX as usize;
+/// A free bucket of [`HandleTable::probe`].
+const EMPTY: u32 = u32::MAX;
+/// Fibonacci hashing's multiplier, 2⁶⁴ over the golden ratio: the top
+/// bits of the product mix every bit of the key, so L-Tree handles
+/// (`(record + 1) << 32 | generation`, low word mostly zero) spread as
+/// well as dense ones (`naive`, `gap`: `0, 1, 2, …`). The keys are the
+/// inner scheme's handles, which the wrapper trusts as it trusts that
+/// scheme's labels, so the hash needs no seed against crafted keys.
+const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// The bucket `ih` hashes to in a table of `buckets` (a power of two,
+/// at least 2) buckets.
+fn bucket(ih: u64, buckets: usize) -> usize {
+    (ih.wrapping_mul(FIB) >> (64 - buckets.trailing_zeros())) as usize
+}
+
+/// Point a bucket of `probe` at `slot`: the bucket already holding a
+/// slot minted for the same inner handle (an inner scheme that hands a
+/// dead leaf's handle out again), else the first free one.
+fn place(probe: &mut [u32], inner: &[u64], slot: usize) {
+    let ih = inner[slot];
+    let mask = probe.len() - 1;
+    let mut b = bucket(ih, probe.len());
+    while probe[b] != EMPTY && inner[probe[b] as usize] != ih {
+        b = (b + 1) & mask;
+    }
+    probe[b] = slot as u32;
+}
+
+/// Every durable handle ever minted, dead or alive, in three dense
+/// buffers. Durable handles run `1..=len()`, so handle `dh` is slot
+/// `dh − 1`.
+#[derive(Default)]
+struct HandleTable {
+    /// Slot → the inner handle it was minted for. A handle already dead
+    /// in the snapshot recovery loads keeps 0 here: the rebuilt inner
+    /// scheme never held it.
+    inner: Vec<u64>,
+    /// Bit `slot` of word `slot / 64` is set once the handle is deleted.
+    dead: Vec<u64>,
+    /// Inner handle → slot, by linear probing over a hash of the inner
+    /// handle: a bucket holds a slot or [`EMPTY`], and a lookup checks
+    /// `inner[slot]` against its key, so no key is stored. Empty or a
+    /// power of two at least twice `inner.len()` long. Insert-only: a
+    /// deleted handle's slot stays until the next rehash, which places
+    /// live slots only.
+    probe: Vec<u32>,
+    /// Handles not deleted.
+    live: usize,
+}
+
+/// Room [`HandleTable::try_reserve`] set aside for one insert: the
+/// capacities to return to if the inner scheme refuses it, and the
+/// bucket count of the larger probe table it needs with a buffer
+/// allocated for them, not yet filled.
+struct Room {
+    inner_cap: usize,
+    dead_cap: usize,
+    probe: Option<(usize, Vec<u32>)>,
+}
+
+impl HandleTable {
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+
+    fn is_dead(&self, slot: usize) -> bool {
+        self.dead[slot / 64] >> (slot % 64) & 1 == 1
+    }
+
+    /// Set `slot`'s dead bit; false if it was set already.
+    fn set_dead(&mut self, slot: usize) -> bool {
+        let (word, bit) = (&mut self.dead[slot / 64], 1 << (slot % 64));
+        let was_live = *word & bit == 0;
+        *word |= bit;
+        was_live
+    }
+
+    /// The inner handle of live durable handle `dh`.
+    fn live_inner(&self, dh: u64) -> Result<u64> {
+        let slot = dh
+            .checked_sub(1)
+            .and_then(|s| usize::try_from(s).ok())
+            .filter(|&s| s < self.len())
+            .ok_or(LTreeError::UnknownHandle)?;
+        if self.is_dead(slot) {
+            Err(LTreeError::DeletedLeaf)
+        } else {
+            Ok(self.inner[slot])
+        }
+    }
+
+    /// The live durable handle minted for inner handle `ih`, if any.
+    fn live_durable(&self, ih: u64) -> Option<u64> {
+        if self.probe.is_empty() {
+            return None;
+        }
+        let mask = self.probe.len() - 1;
+        let mut b = bucket(ih, self.probe.len());
+        loop {
+            let slot = self.probe[b];
+            if slot == EMPTY {
+                return None;
+            }
+            let slot = slot as usize;
+            if self.inner[slot] == ih {
+                return (!self.is_dead(slot)).then_some(slot as u64 + 1);
+            }
+            b = (b + 1) & mask;
+        }
+    }
+
+    /// Room to mint `additional` more handles without allocating, or
+    /// [`LTreeError::CapacityExceeded`] with the table unchanged. A
+    /// larger probe table, when one is due, is allocated here but
+    /// filled only by [`commit`](Self::commit), so nothing is written
+    /// before the inner scheme accepts the insert.
+    fn try_reserve(&mut self, additional: usize) -> Result<Room> {
+        let exceeded = || LTreeError::CapacityExceeded {
+            requested: additional as u64,
+        };
+        let total = self
+            .len()
+            .checked_add(additional)
+            .filter(|&t| t <= MAX_HANDLES)
+            .ok_or_else(exceeded)?;
+        let buckets = total
+            .max(1)
+            .checked_mul(2)
+            .and_then(usize::checked_next_power_of_two)
+            .ok_or_else(exceeded)?;
+        let probe = if buckets > self.probe.len() {
+            let mut probe = Vec::new();
+            probe.try_reserve_exact(buckets).map_err(|_| exceeded())?;
+            Some((buckets, probe))
+        } else {
+            None
+        };
+        let room = Room {
+            inner_cap: self.inner.capacity(),
+            dead_cap: self.dead.capacity(),
+            probe,
+        };
+        let words = total.div_ceil(64) - self.dead.len();
+        if self.inner.try_reserve(additional).is_err() || self.dead.try_reserve(words).is_err() {
+            self.release(room);
+            return Err(exceeded());
+        }
+        Ok(room)
+    }
+
+    /// Put `room` to use: fill and install the larger probe table it
+    /// holds, if any, placing every live slot.
+    fn commit(&mut self, room: Room) {
+        let Some((buckets, mut probe)) = room.probe else {
+            return;
+        };
+        probe.resize(buckets, EMPTY);
+        for slot in (0..self.len()).filter(|&s| !self.is_dead(s)) {
+            place(&mut probe, &self.inner, slot);
+        }
+        self.probe = probe;
+    }
+
+    /// Hand `room` back unused, as after an insert the inner scheme
+    /// refused: the buffers return to their capacities before it.
+    fn release(&mut self, room: Room) {
+        self.inner.shrink_to(room.inner_cap);
+        self.dead.shrink_to(room.dead_cap);
+    }
+
+    /// Mint the next durable handle for inner handle `ih`, in room
+    /// [`try_reserve`](Self::try_reserve) made.
+    fn push(&mut self, ih: u64) {
+        let slot = self.len();
+        assert!(
+            2 * slot < self.probe.len(),
+            "durable handle minted without reserved room"
+        );
+        self.inner.push(ih);
+        if slot.is_multiple_of(64) {
+            self.dead.push(0);
+        }
+        place(&mut self.probe, &self.inner, slot);
+        self.live += 1;
+    }
+
+    /// Delete live durable handle `dh`.
+    fn mark_dead(&mut self, dh: u64) {
+        if self.set_dead(dh as usize - 1) {
+            self.live -= 1;
+        }
+    }
+
+    /// The handles a snapshot lists: `live` in list order with the inner
+    /// handles `ihs` the rebuilt inner scheme gave them, and `dead`.
+    /// Together they must list `1..=live.len() + dead.len()` once each.
+    fn restore(live: &[u64], ihs: &[LeafHandle], dead: &[u64]) -> Result<HandleTable> {
+        let listed = live.len() + dead.len();
+        let mut t = HandleTable::default();
+        let room = t
+            .try_reserve(listed)
+            .map_err(|e| store_err(format!("snapshot image: {e}")))?;
+        t.commit(room);
+        t.inner.resize(listed, 0);
+        t.dead.resize(listed.div_ceil(64), 0);
+        // Mark every listed handle dead, catching repeats, then revive
+        // the live ones.
+        for &dh in live.iter().chain(dead) {
+            if dh == 0 || dh > listed as u64 || !t.set_dead(dh as usize - 1) {
+                return Err(store_err(format!(
+                    "snapshot image: handle {dh} is zero, unminted or listed twice"
+                )));
+            }
+        }
+        for (&dh, ih) in live.iter().zip(ihs) {
+            let slot = dh as usize - 1;
+            t.dead[slot / 64] &= !(1 << (slot % 64));
+            t.inner[slot] = ih.0;
+            place(&mut t.probe, &t.inner, slot);
+        }
+        t.live = live.len();
+        Ok(t)
+    }
+
+    /// Deleted durable handles, ascending.
+    fn dead_handles(&self) -> Vec<u64> {
+        (0..self.len())
+            .filter(|&s| self.is_dead(s))
+            .map(|s| s as u64 + 1)
+            .collect()
+    }
+
+    /// The three buffers, by capacity.
+    fn memory_bytes(&self) -> usize {
+        self.inner.capacity() * 8 + self.dead.capacity() * 8 + self.probe.capacity() * 4
+    }
+}
+
 /// A write-ahead-logged, snapshot-checkpointed wrapper around any
 /// [`DynScheme`]; see the [module docs](self) for the protocol.
 pub struct DurableScheme {
     inner: Box<dyn DynScheme>,
     dir: Box<dyn DurableDir>,
     opts: DurableOptions,
-    /// durable handle → `Some(inner handle)` while live, `None` once
-    /// deleted. Grows monotonically: `len()` is the number of handles
-    /// ever minted.
-    slots: HashMap<u64, Option<u64>>,
-    /// inner handle → durable handle (kept for tombstones too, so the
-    /// cursor can skip inner tombstones it meets).
-    rev: HashMap<u64, u64>,
-    live: usize,
-    next_handle: u64,
+    /// Durable handle ↔ inner handle for every handle ever minted:
+    /// `len()` is their number, and the next one minted is `len() + 1`.
+    table: HandleTable,
     next_seq: u64,
     /// Highest sequence number the on-disk snapshot covers.
     snap_seq: u64,
@@ -208,10 +452,7 @@ impl DurableScheme {
             inner,
             dir,
             opts,
-            slots: HashMap::new(),
-            rev: HashMap::new(),
-            live: 0,
-            next_handle: 1,
+            table: HandleTable::default(),
             next_seq: 1,
             snap_seq: 0,
             ops_since_checkpoint: 0,
@@ -228,9 +469,9 @@ impl DurableScheme {
         if let Some(image) = me.dir.read(SNAP_FILE)? {
             let snap =
                 Snapshot::decode(&image).map_err(|e| store_err(format!("snapshot image: {e}")))?;
-            // `slots` keeps every handle ever minted, so the lists must
-            // cover `1..next_handle` exactly — which also bounds the
-            // counter by the image's own size.
+            // The table keeps every handle ever minted, so the lists
+            // must cover `1..next_handle` exactly — which also bounds
+            // the counter by the image's own size.
             let listed = (snap.live.len() + snap.dead.len()) as u64;
             if snap.next_handle.checked_sub(1) != Some(listed) {
                 return Err(store_err(format!(
@@ -240,7 +481,6 @@ impl DurableScheme {
             }
             me.snap_seq = snap.snap_seq;
             me.next_seq = seq_after(snap.snap_seq)?;
-            me.next_handle = snap.next_handle;
             let ihs = if snap.live.is_empty() {
                 Vec::new()
             } else {
@@ -248,20 +488,7 @@ impl DurableScheme {
                     .bulk_build(snap.live.len())
                     .map_err(|e| store_err(format!("snapshot rebuild: {e}")))?
             };
-            let live = snap.live.iter().zip(ihs.iter().map(|ih| Some(ih.0)));
-            let dead = snap.dead.iter().map(|dh| (dh, None));
-            for (&dh, slot) in live.chain(dead) {
-                // Every handle was minted below the counter, exactly once.
-                if dh == 0 || dh >= snap.next_handle || me.slots.insert(dh, slot).is_some() {
-                    return Err(store_err(format!(
-                        "snapshot image: handle {dh} is zero, unminted or listed twice"
-                    )));
-                }
-                if let Some(ih) = slot {
-                    me.rev.insert(ih, dh);
-                }
-            }
-            me.live = snap.live.len();
+            me.table = HandleTable::restore(&snap.live, &ihs, &snap.dead)?;
         }
         let log = me.dir.read(WAL_FILE)?.unwrap_or_default();
         let scan = scan_log(&log)?;
@@ -302,24 +529,17 @@ impl DurableScheme {
     /// Write a snapshot of the current state and truncate the log.
     pub fn checkpoint(&mut self) -> Result<()> {
         let start = std::time::Instant::now();
-        let mut live = Vec::with_capacity(self.live);
+        let mut live = Vec::with_capacity(self.table.live);
         let mut cur = self.first_in_order();
         while let Some(h) = cur {
             live.push(h.0);
             cur = self.next_in_order(h);
         }
-        let mut dead: Vec<u64> = self
-            .slots
-            .iter()
-            .filter(|(_, s)| s.is_none())
-            .map(|(&h, _)| h)
-            .collect();
-        dead.sort_unstable();
         let snap = Snapshot {
             snap_seq: self.next_seq - 1,
-            next_handle: self.next_handle,
+            next_handle: self.table.len() as u64 + 1,
             live,
-            dead,
+            dead: self.table.dead_handles(),
         };
         self.dir.replace(SNAP_FILE, &snap.encode())?;
         self.snap_seq = snap.snap_seq;
@@ -337,46 +557,15 @@ impl DurableScheme {
         self.wal.replayed
     }
 
-    /// Resolve a live durable handle to its inner handle.
-    fn live_inner(&self, h: LeafHandle) -> Result<u64> {
-        match self.slots.get(&h.0) {
-            Some(Some(ih)) => Ok(*ih),
-            Some(None) => Err(LTreeError::DeletedLeaf),
-            None => Err(LTreeError::UnknownHandle),
-        }
-    }
-
-    fn mint(&mut self, ih: u64) -> LeafHandle {
-        let dh = self.next_handle;
-        self.next_handle += 1;
-        self.slots.insert(dh, Some(ih));
-        self.rev.insert(ih, dh);
-        self.live += 1;
-        LeafHandle(dh)
-    }
-
-    fn mark_dead(&mut self, dh: u64) {
-        if let Some(slot) = self.slots.get_mut(&dh) {
-            if slot.take().is_some() {
-                self.live -= 1;
-            }
-        }
-        // The rev entry stays: schemes that keep tombstones (the
-        // L-Tree) still yield the inner handle from `next_in_order`,
-        // and the cursor needs the mapping to know to skip it.
-    }
-
-    /// Next *live* durable handle after `dh` in list order, skipping
-    /// inner tombstones; `None` from a dead or unknown handle.
-    fn next_live(&self, dh: u64) -> Option<u64> {
-        let mut ih = (*self.slots.get(&dh)?)?;
+    /// The first live durable handle at or after inner handle `ih` in
+    /// list order, skipping inner tombstones and deleted handles.
+    fn live_from(&self, mut ih: Option<LeafHandle>) -> Option<LeafHandle> {
         loop {
-            ih = self.inner.next_in_order(LeafHandle(ih))?.0;
-            if let Some(&d) = self.rev.get(&ih) {
-                if matches!(self.slots.get(&d), Some(Some(_))) {
-                    return Some(d);
-                }
+            let h = ih?;
+            if let Some(dh) = self.table.live_durable(h.0) {
+                return Some(LeafHandle(dh));
             }
+            ih = self.inner.next_in_order(h);
         }
     }
 
@@ -415,57 +604,93 @@ impl DurableScheme {
         Ok(())
     }
 
-    /// Re-apply one logged mutation during recovery (no re-logging).
-    /// The deterministic handle counter re-mints the same durable
-    /// handles the original run handed out.
-    fn replay(&mut self, req: &Request) -> Result<()> {
-        match req {
+    /// Apply one mutation to the inner scheme and the handle table, not
+    /// logged: the live path logs `req` once this succeeds, and recovery
+    /// replays logged records through it, so the handle counter re-mints
+    /// the durable handles the original run handed out. Returns how many
+    /// handles it minted or deleted.
+    fn apply(&mut self, req: &Request) -> Result<usize> {
+        match *req {
             Request::BulkBuild(n) => {
-                let ihs = self.inner.bulk_build(*n as usize)?;
-                for ih in ihs {
-                    self.mint(ih.0);
+                if self.table.len() > 0 {
+                    return Err(LTreeError::NotEmpty);
                 }
+                self.mint(n as usize, |s| s.bulk_build(n as usize))
             }
-            Request::InsertFirst => {
-                let ih = self.inner.insert_first()?;
-                self.mint(ih.0);
-            }
+            Request::InsertFirst => self.mint(1, |s| s.insert_first().map(|h| [h])),
             Request::InsertAfter(a) => {
-                let ih = self.live_inner(LeafHandle(*a))?;
-                let nih = self.inner.insert_after(LeafHandle(ih))?;
-                self.mint(nih.0);
+                let at = LeafHandle(self.table.live_inner(a)?);
+                self.mint(1, |s| s.insert_after(at).map(|h| [h]))
             }
             Request::InsertBefore(a) => {
-                let ih = self.live_inner(LeafHandle(*a))?;
-                let nih = self.inner.insert_before(LeafHandle(ih))?;
-                self.mint(nih.0);
+                let at = LeafHandle(self.table.live_inner(a)?);
+                self.mint(1, |s| s.insert_before(at).map(|h| [h]))
             }
             Request::Delete(h) => {
-                let ih = self.live_inner(LeafHandle(*h))?;
+                let ih = self.table.live_inner(h)?;
                 self.inner.delete(LeafHandle(ih))?;
-                self.mark_dead(*h);
+                self.table.mark_dead(h);
+                Ok(1)
             }
             Request::Splice(WireSplice::InsertAfter { anchor, count }) => {
-                let ih = self.live_inner(LeafHandle(*anchor))?;
-                let nihs = self
-                    .inner
-                    .insert_many_after(LeafHandle(ih), *count as usize)?;
-                for nih in nihs {
-                    self.mint(nih.0);
+                if count == 0 {
+                    return Err(LTreeError::EmptyBatch);
                 }
+                let at = LeafHandle(self.table.live_inner(anchor)?);
+                self.mint(count as usize, |s| s.insert_many_after(at, count as usize))
             }
             Request::Splice(WireSplice::DeleteRun { first, count }) => {
-                let deleted = self.delete_live_run(LeafHandle(*first), *count as usize)?;
-                if deleted as u64 != *count {
-                    return Err(store_err(format!(
-                        "logged delete-run of {count} found only {deleted} live items"
-                    )));
-                }
+                self.delete_live_run(first, count as usize)
             }
-            other => {
+            _ => Err(store_err(format!(
+                "log carries a non-mutating record: {req:?}"
+            ))),
+        }
+    }
+
+    /// Run `insert`, which adds at most `k` items to the inner scheme,
+    /// and mint a durable handle for each inner handle it returns, in
+    /// order. Table room is reserved first, so a slot count past `u32`
+    /// or memory that cannot be had is a typed error before the inner
+    /// scheme runs, and an insert the inner scheme refuses hands the
+    /// room back: a failed insert changes nothing.
+    fn mint<H: AsRef<[LeafHandle]>>(
+        &mut self,
+        k: usize,
+        insert: impl FnOnce(&mut dyn DynScheme) -> Result<H>,
+    ) -> Result<usize> {
+        let room = self.table.try_reserve(k)?;
+        match insert(self.inner.as_mut()) {
+            Ok(ihs) => {
+                self.table.commit(room);
+                for ih in ihs.as_ref() {
+                    self.table.push(ih.0);
+                }
+                Ok(ihs.as_ref().len())
+            }
+            Err(e) => {
+                self.table.release(room);
+                Err(e)
+            }
+        }
+    }
+
+    /// Apply and log one insert; the durable handles it minted.
+    fn insert(&mut self, req: Request) -> Result<std::ops::Range<u64>> {
+        let first = self.table.len() as u64 + 1;
+        let minted = self.apply(&req)? as u64;
+        self.log(req)?;
+        Ok(first..first + minted)
+    }
+
+    /// Re-apply one logged mutation during recovery (no re-logging).
+    fn replay(&mut self, req: &Request) -> Result<()> {
+        let done = self.apply(req)?;
+        if let Request::Splice(WireSplice::DeleteRun { count, .. }) = *req {
+            if done as u64 != count {
                 return Err(store_err(format!(
-                    "log carries a non-mutating record: {other:?}"
-                )))
+                    "logged delete-run of {count} found only {done} live items"
+                )));
             }
         }
         Ok(())
@@ -473,22 +698,22 @@ impl DurableScheme {
 
     /// Delete up to `count` live items starting at the live handle
     /// `first`, in list order. Shared by the live path and replay.
-    fn delete_live_run(&mut self, first: LeafHandle, count: usize) -> Result<usize> {
-        let mut run = vec![first.0];
-        let mut cur = first.0;
+    fn delete_live_run(&mut self, first: u64, count: usize) -> Result<usize> {
+        let mut run = vec![first];
+        let mut cur = LeafHandle(first);
         while run.len() < count {
-            match self.next_live(cur) {
+            match self.next_in_order(cur) {
                 Some(n) => {
-                    run.push(n);
+                    run.push(n.0);
                     cur = n;
                 }
                 None => break,
             }
         }
         for &dh in &run {
-            let ih = self.live_inner(LeafHandle(dh))?;
+            let ih = self.table.live_inner(dh)?;
             self.inner.delete(LeafHandle(ih))?;
-            self.mark_dead(dh);
+            self.table.mark_dead(dh);
         }
         Ok(run.len())
     }
@@ -508,118 +733,93 @@ impl OrderedLabeling for DurableScheme {
     }
 
     fn label_of(&self, h: LeafHandle) -> Result<u128> {
-        let ih = self.live_inner(h)?;
+        let ih = self.table.live_inner(h.0)?;
         self.inner.label_of(LeafHandle(ih))
     }
 
     fn len(&self) -> usize {
-        self.slots.len()
+        self.table.len()
     }
 
     fn live_len(&self) -> usize {
-        self.live
+        self.table.live
     }
 
     fn first_in_order(&self) -> Option<LeafHandle> {
-        let mut ih = self.inner.first_in_order()?.0;
-        loop {
-            if let Some(&d) = self.rev.get(&ih) {
-                if matches!(self.slots.get(&d), Some(Some(_))) {
-                    return Some(LeafHandle(d));
-                }
-            }
-            ih = self.inner.next_in_order(LeafHandle(ih))?.0;
-        }
+        self.live_from(self.inner.first_in_order())
     }
 
     fn next_in_order(&self, h: LeafHandle) -> Option<LeafHandle> {
-        self.next_live(h.0).map(LeafHandle)
+        let ih = self.table.live_inner(h.0).ok()?;
+        self.live_from(self.inner.next_in_order(LeafHandle(ih)))
     }
 
     fn label_space_bits(&self) -> u32 {
         self.inner.label_space_bits()
     }
 
+    /// The inner scheme's bytes plus the handle table's three buffers
+    /// by capacity. Per handle ever minted: 8 to 16 B of slot vector
+    /// (its capacity doubles), 8 to 16 B of probe buckets (at least two
+    /// per handle, a power of two) and a dead bit.
     fn memory_bytes(&self) -> usize {
-        // The two maps dominate the wrapper's own footprint.
-        self.inner.memory_bytes() + self.slots.len() * 24 + self.rev.len() * 16
+        self.inner.memory_bytes() + self.table.memory_bytes()
     }
 }
 
 impl OrderedLabelingMut for DurableScheme {
     fn bulk_build(&mut self, n: usize) -> Result<Vec<LeafHandle>> {
-        if !self.slots.is_empty() {
-            return Err(LTreeError::NotEmpty);
-        }
-        let ihs = self.inner.bulk_build(n)?;
-        let out: Vec<LeafHandle> = ihs.iter().map(|ih| self.mint(ih.0)).collect();
-        self.log(Request::BulkBuild(n as u64))?;
-        Ok(out)
+        let minted = self.insert(Request::BulkBuild(n as u64))?;
+        Ok(minted.map(LeafHandle).collect())
     }
 
     fn insert_first(&mut self) -> Result<LeafHandle> {
-        let ih = self.inner.insert_first()?;
-        let dh = self.mint(ih.0);
-        self.log(Request::InsertFirst)?;
-        Ok(dh)
+        Ok(LeafHandle(self.insert(Request::InsertFirst)?.start))
     }
 
     fn insert_after(&mut self, anchor: LeafHandle) -> Result<LeafHandle> {
-        let ih = self.live_inner(anchor)?;
-        let nih = self.inner.insert_after(LeafHandle(ih))?;
-        let dh = self.mint(nih.0);
-        self.log(Request::InsertAfter(anchor.0))?;
-        Ok(dh)
+        Ok(LeafHandle(
+            self.insert(Request::InsertAfter(anchor.0))?.start,
+        ))
     }
 
     fn insert_before(&mut self, anchor: LeafHandle) -> Result<LeafHandle> {
-        let ih = self.live_inner(anchor)?;
-        let nih = self.inner.insert_before(LeafHandle(ih))?;
-        let dh = self.mint(nih.0);
-        self.log(Request::InsertBefore(anchor.0))?;
-        Ok(dh)
+        Ok(LeafHandle(
+            self.insert(Request::InsertBefore(anchor.0))?.start,
+        ))
     }
 
     fn delete(&mut self, h: LeafHandle) -> Result<()> {
-        let ih = self.live_inner(h)?;
-        self.inner.delete(LeafHandle(ih))?;
-        self.mark_dead(h.0);
-        self.log(Request::Delete(h.0))
+        let req = Request::Delete(h.0);
+        self.apply(&req)?;
+        self.log(req)
     }
 }
 
 impl BatchLabeling for DurableScheme {
     fn insert_many_after(&mut self, anchor: LeafHandle, k: usize) -> Result<Vec<LeafHandle>> {
-        if k == 0 {
-            return Err(LTreeError::EmptyBatch);
-        }
-        let ih = self.live_inner(anchor)?;
-        let nihs = self.inner.insert_many_after(LeafHandle(ih), k)?;
-        let out: Vec<LeafHandle> = nihs.iter().map(|nih| self.mint(nih.0)).collect();
-        self.log(Request::Splice(WireSplice::InsertAfter {
+        let minted = self.insert(Request::Splice(WireSplice::InsertAfter {
             anchor: anchor.0,
             count: k as u64,
         }))?;
-        Ok(out)
+        Ok(minted.map(LeafHandle).collect())
     }
 
     fn delete_run(&mut self, first: LeafHandle, count: usize) -> Result<usize> {
         if count == 0 {
             return Ok(0);
         }
-        match self.slots.get(&first.0) {
-            None => return Err(LTreeError::UnknownHandle),
-            Some(None) => return Ok(0), // dead anchor: the loop fallback's semantics
-            Some(Some(_)) => {}
+        match self.table.live_inner(first.0) {
+            Err(LTreeError::DeletedLeaf) => return Ok(0), // dead anchor: the loop fallback's semantics
+            Err(e) => return Err(e),
+            Ok(_) => {}
         }
-        let deleted = self.delete_live_run(first, count)?;
-        if deleted > 0 {
-            // Logged normalized — the actual count, so replay is exact.
-            self.log(Request::Splice(WireSplice::DeleteRun {
-                first: first.0,
-                count: deleted as u64,
-            }))?;
-        }
+        let deleted = self.delete_live_run(first.0, count)?;
+        // Logged normalized — the actual count, so replay is exact.
+        self.log(Request::Splice(WireSplice::DeleteRun {
+            first: first.0,
+            count: deleted as u64,
+        }))?;
         Ok(deleted)
     }
 }
@@ -697,35 +897,135 @@ mod tests {
         }
     }
 
+    type Make = fn() -> Box<dyn DynScheme>;
+
+    fn gap() -> Box<dyn DynScheme> {
+        Box::new(labeling_baselines::GapLabeling::new())
+    }
+
+    /// What `label_of` answers for durable handle `h`, the label itself
+    /// left out: recovery rebuilds the inner scheme, so labels may move.
+    fn answer(s: &DurableScheme, h: u64) -> Result<()> {
+        s.label_of(LeafHandle(h)).map(|_| ())
+    }
+
+    /// Over inner handles dense from 0 (`gap`) and inner handles with
+    /// all-zero low words (the L-Tree), edits before a checkpoint and
+    /// edits in the log tail after it survive a reopen: every handle
+    /// ever minted answers as it did (a label, `DeletedLeaf` or
+    /// `UnknownHandle`), and the cursor walks the same list.
     #[test]
     fn edits_survive_reopen_via_log_replay() {
-        let dir = SimDir::new(1);
-        let mut s =
-            DurableScheme::open(ltree(), Box::new(dir.clone()), opts(SyncPolicy::Always, 0))
-                .unwrap();
-        let hs = s.bulk_build(8).unwrap();
-        let mid = s.insert_after(hs[3]).unwrap();
-        s.delete(hs[5]).unwrap();
-        s.insert_many_after(hs[0], 3).unwrap();
-        let deleted = s.delete_run(hs[1], 2).unwrap();
-        assert_eq!(deleted, 2);
-        let before = live_order(&s);
-        let live = s.live_len();
-        let total = s.len();
-        drop(s);
-        let r = DurableScheme::open(ltree(), Box::new(dir), opts(SyncPolicy::Always, 0)).unwrap();
-        assert_eq!(live_order(&r), before, "identical list after recovery");
-        assert_eq!(r.live_len(), live);
-        assert_eq!(r.len(), total, "tombstones still tracked");
-        assert!(r.replayed_records() > 0, "state came from the log");
-        // Handles survive: the same durable handle resolves, deleted
-        // ones answer DeletedLeaf.
-        assert!(r.label_of(mid).is_ok());
-        assert!(matches!(r.label_of(hs[5]), Err(LTreeError::DeletedLeaf)));
+        let inners: [(u64, Make); 2] = [(1, ltree), (10, gap)];
+        for (seed, make) in inners {
+            let dir = SimDir::new(seed);
+            let mut s =
+                DurableScheme::open(make(), Box::new(dir.clone()), opts(SyncPolicy::Always, 0))
+                    .unwrap();
+            let hs = s.bulk_build(8).unwrap();
+            let mid = s.insert_after(hs[3]).unwrap();
+            s.delete(hs[5]).unwrap();
+            let run = s.insert_many_after(hs[0], 3).unwrap();
+            assert_eq!(s.delete_run(hs[1], 2).unwrap(), 2);
+            s.checkpoint().unwrap();
+            // The log tail: five records the snapshot does not cover.
+            s.insert_before(mid).unwrap();
+            s.delete(mid).unwrap();
+            s.insert_many_after(hs[7], 4).unwrap();
+            // `hs[0]` stays live: recovery gives it the inner handle the
+            // snapshot's dead handles also hold as a placeholder.
+            assert_eq!(s.delete_run(run[0], 3).unwrap(), 3);
+            s.insert_first().unwrap();
+            let before = live_order(&s);
+            let (live, minted) = (s.live_len(), s.len() as u64);
+            let probes: Vec<u64> = (0..=minted + 1).chain([u64::MAX]).collect();
+            let answers: Vec<_> = probes.iter().map(|&h| answer(&s, h)).collect();
+            drop(s);
+            let r =
+                DurableScheme::open(make(), Box::new(dir), opts(SyncPolicy::Always, 0)).unwrap();
+            assert_eq!(r.replayed_records(), 5, "only the log tail replays");
+            assert_eq!(live_order(&r), before, "identical list after recovery");
+            assert_eq!(r.live_len(), live);
+            assert_eq!(r.len() as u64, minted, "tombstones still tracked");
+            let recovered: Vec<_> = probes.iter().map(|&h| answer(&r, h)).collect();
+            assert_eq!(recovered, answers, "every handle answers as before");
+            assert_eq!(answers[mid.0 as usize], Err(LTreeError::DeletedLeaf));
+            assert_eq!(answers[0], Err(LTreeError::UnknownHandle));
+            assert_eq!(answers.last(), Some(&Err(LTreeError::UnknownHandle)));
+            let labels: Vec<u128> = before
+                .iter()
+                .map(|&h| r.label_of(LeafHandle(h)).unwrap())
+                .collect();
+            assert!(
+                labels.windows(2).all(|w| w[0] < w[1]),
+                "labels increase along the cursor"
+            );
+        }
+    }
+
+    /// `memory_bytes` is the inner scheme's bytes plus the handle
+    /// table's three buffers by capacity, and the table takes at most
+    /// 32 B per handle ever minted.
+    #[test]
+    fn memory_bytes_counts_the_handle_table_by_capacity() {
+        let mut s = DurableScheme::open(
+            ltree(),
+            Box::new(SimDir::new(11)),
+            opts(SyncPolicy::Never, 0),
+        )
+        .unwrap();
+        let hs = s.bulk_build(10_000).unwrap();
+        for i in 0..2_000 {
+            s.insert_after(hs[i * 5]).unwrap();
+        }
+        for &h in hs.iter().skip(1).step_by(20) {
+            s.delete(h).unwrap();
+        }
+        assert_eq!((s.len(), s.live_len()), (12_000, 11_500));
+        let t = &s.table;
+        let own = t.inner.capacity() * 8 + t.dead.capacity() * 8 + t.probe.capacity() * 4;
+        assert_eq!(s.memory_bytes(), s.inner.memory_bytes() + own);
+        assert!(own <= 32 * s.len(), "{own} B for {} handles", s.len());
+    }
+
+    /// Room the inner scheme never used goes back whole, so an insert it
+    /// refuses leaves `memory_bytes` as it was; a slot count past `u32`
+    /// is refused before anything is allocated.
+    #[test]
+    fn refused_room_leaves_the_table_as_it_was() {
+        let mut t = HandleTable::default();
+        let room = t.try_reserve(100).unwrap();
+        t.commit(room);
+        for i in 0..100u64 {
+            t.push((i + 1) << 32);
+        }
+        let bytes = t.memory_bytes();
+        let room = t.try_reserve(1 << 20).unwrap();
+        t.release(room);
+        assert_eq!(t.memory_bytes(), bytes);
+        assert_eq!(t.live_durable(6 << 32), Some(6));
+        let past = MAX_HANDLES - 99;
         assert!(matches!(
-            r.label_of(LeafHandle(9999)),
-            Err(LTreeError::UnknownHandle)
+            t.try_reserve(past),
+            Err(LTreeError::CapacityExceeded { requested }) if requested == past as u64
         ));
+        assert_eq!(t.memory_bytes(), bytes);
+    }
+
+    /// An inner scheme that hands a deleted leaf's handle out again
+    /// maps it to the newest durable handle, not the dead one.
+    #[test]
+    fn a_reused_inner_handle_maps_to_its_newest_slot() {
+        let mut t = HandleTable::default();
+        let room = t.try_reserve(3).unwrap();
+        t.commit(room);
+        t.push(0);
+        t.push(7);
+        t.mark_dead(1);
+        t.push(0);
+        assert_eq!(t.live_durable(0), Some(3));
+        assert_eq!(t.live_durable(7), Some(2));
+        assert_eq!(t.live_inner(1), Err(LTreeError::DeletedLeaf));
     }
 
     #[test]

@@ -21,9 +21,12 @@
 //! Per-connection op/byte counters are part of the server's metrics:
 //! [`LabelServer::metrics`] and the wire `Metrics` scrape both report
 //! `net/conn<i>/{round-trips,bytes-in,bytes-out}` counters for every
-//! connection ever opened, next to the request counter, the phase
-//! histograms and the hosted scheme's own metrics. The
-//! [`Instrumented`] cost counters stay the hosted scheme's alone.
+//! live connection, next to the request counter, the phase histograms
+//! and the hosted scheme's own metrics. When a connection ends, its
+//! counts move into `net/closed-conns/{round-trips,bytes-in,bytes-out}`
+//! and its series go, so the number of series is bounded by the live
+//! connections. The [`Instrumented`] cost counters stay the hosted
+//! scheme's alone.
 //!
 //! The socket is the only way in: `remote(…)` clients dial it from
 //! anywhere, and a `served(…)` client dials the server it binds on
@@ -51,6 +54,7 @@ use crate::wire::{
 /// One connection's op/byte counters, taken from the server's
 /// registry as `net/conn<i>/{round-trips,bytes-in,bytes-out}`.
 struct ConnCounters {
+    id: usize,
     round_trips: Arc<Counter>,
     bytes_in: Arc<Counter>,
     bytes_out: Arc<Counter>,
@@ -59,10 +63,10 @@ struct ConnCounters {
 /// The server's own live instrumentation, all in one registry: the
 /// request counter, the active-connection gauge, the four per-request
 /// phase histograms (`net/phase/{decode,lock-wait,apply,encode}`,
-/// nanoseconds) and the op/byte counters of every connection ever
-/// opened. Shared by every connection thread; a `Metrics` wire request
-/// (or [`Instrumented::metrics`] on the server) snapshots it together
-/// with the hosted scheme's own metrics.
+/// nanoseconds), the op/byte counters of every live connection and
+/// their totals over closed ones. Shared by every connection thread; a
+/// `Metrics` wire request (or [`Instrumented::metrics`] on the server)
+/// snapshots it together with the hosted scheme's own metrics.
 struct ServerMetrics {
     registry: MetricsRegistry,
     requests: Arc<Counter>,
@@ -103,10 +107,31 @@ impl ServerMetrics {
         // the counter.
         let id = self.next_conn_id.fetch_add(1, Ordering::Relaxed);
         ConnCounters {
+            id,
             round_trips: self.registry.counter(&format!("net/conn{id}/round-trips")),
             bytes_in: self.registry.counter(&format!("net/conn{id}/bytes-in")),
             bytes_out: self.registry.counter(&format!("net/conn{id}/bytes-out")),
         }
+    }
+
+    /// Fold an ended connection's counters into the closed-connection
+    /// totals and drop its series. Its thread no longer counts, so no
+    /// count is lost, and each counter moves under the registry's lock,
+    /// so a scrape counts it once.
+    fn close_conn(&self, c: ConnCounters) {
+        let id = c.id;
+        self.registry.fold_counter(
+            &format!("net/conn{id}/round-trips"),
+            "net/closed-conns/round-trips",
+        );
+        self.registry.fold_counter(
+            &format!("net/conn{id}/bytes-in"),
+            "net/closed-conns/bytes-in",
+        );
+        self.registry.fold_counter(
+            &format!("net/conn{id}/bytes-out"),
+            "net/closed-conns/bytes-out",
+        );
     }
 }
 
@@ -371,6 +396,7 @@ fn serve_conn(
     stop: Arc<AtomicBool>,
 ) {
     let Ok(read_half) = stream.try_clone() else {
+        metrics.close_conn(counters);
         return;
     };
     metrics.active_conns.add(1);
@@ -403,11 +429,12 @@ fn serve_conn(
             break;
         }
     }
-    // Close both halves before reporting the connection gone, so a
-    // caller that waits for `net/active-conns` to drop also sees its
-    // sockets released.
+    // Close both halves and fold the counters before reporting the
+    // connection gone, so a caller that waits for `net/active-conns` to
+    // drop also sees its sockets released and its series folded.
     drop(reader);
     drop(writer);
+    metrics.close_conn(counters);
     metrics.active_conns.add(-1);
 }
 

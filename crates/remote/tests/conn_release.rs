@@ -1,8 +1,8 @@
-//! A connection whose client hung up releases its server-side socket and
-//! thread. The count comes from `/proc/self/fd`, so the test is
-//! Linux-only; it lives in its own test binary because it measures the
-//! whole process's descriptors, which other tests running in parallel
-//! threads would disturb.
+//! A connection whose client hung up releases its server-side socket,
+//! thread and metric series. The descriptor count comes from
+//! `/proc/self/fd`, so the test is Linux-only; it lives in its own test
+//! binary because it measures the whole process's descriptors, which
+//! other tests running in parallel threads would disturb.
 
 #![cfg(target_os = "linux")]
 
@@ -56,6 +56,37 @@ fn closed_connections_release_their_sockets_and_threads() {
     assert!(
         grown <= 10,
         "{CYCLES} closed connections left {grown} more descriptors open"
+    );
+    // Their series are gone too, folded into the closed-connection
+    // totals: the live connection's three and the three totals remain,
+    // and every round trip is counted once.
+    let metrics = server.metrics();
+    let count = |name: &str| match metrics.iter().find(|m| m.name == name) {
+        Some(m) => match m.value {
+            MetricValue::Counter(v) => v,
+            ref other => panic!("{name}: expected a counter, got {other:?}"),
+        },
+        None => 0,
+    };
+    let series: Vec<&str> = metrics
+        .iter()
+        .map(|m| m.name.as_str())
+        .filter(|n| n.starts_with("net/conn") || n.starts_with("net/closed-conns/"))
+        .collect();
+    assert!(
+        series.len() <= 6,
+        "{CYCLES} closed connections left {} connection series",
+        series.len()
+    );
+    let live_round_trips: u64 = series
+        .iter()
+        .filter(|n| n.starts_with("net/conn") && n.ends_with("/round-trips"))
+        .map(|n| count(n))
+        .sum();
+    assert_eq!(
+        live_round_trips + count("net/closed-conns/round-trips"),
+        count("net/requests"),
+        "live plus closed round trips are every request"
     );
     drop(client);
 }

@@ -51,6 +51,11 @@ const SPECS: &[&str] = &[
     // safe here; checkpoint_every=5 keeps snapshots in the loop too.
     "durable(ltree(4,2))",
     "durable(gap,sync=never,checkpoint_every=5)",
+    // Inner handles dense from 0 (`naive`, `virtual`), beside the
+    // L-Tree's `(record + 1) << 32 | generation` above: `durable`'s
+    // handle table hashes both shapes.
+    "durable(naive,sync=never)",
+    "durable(virtual(4,2),sync=never)",
     "served(durable(ltree(4,2)))",
     "checked(durable(gap))",
     // The tracing wrapper must be behaviorally transparent: the whole
@@ -624,7 +629,8 @@ fn empty_batch_is_a_typed_error() {
 
 /// The trait's default `insert_many_after` (the baselines') reserves its
 /// handle vector before the first insert, so a batch too large to hold
-/// is a typed error that changes nothing, also under a wrapper.
+/// is a typed error that changes nothing, also under a wrapper; so does
+/// `durable`'s handle table, which reserves before the inner scheme runs.
 #[test]
 fn oversized_default_batches_are_typed_errors_that_change_nothing() {
     let labels = |s: &dyn DynScheme| -> Vec<u128> {
@@ -636,11 +642,13 @@ fn oversized_default_batches_are_typed_errors_that_change_nothing() {
         "list-label",
         "checked(gap)",
         "sharded(2,naive)",
+        "durable(naive,sync=never)",
     ] {
         let mut s = build(spec);
         let hs = s.bulk_build(64).unwrap();
         let before = labels(&*s);
         let stats = s.scheme_stats();
+        let bytes = s.memory_bytes();
         let k = 1usize << 40;
         match s.insert_many_after(hs[10], k) {
             Err(ltree::LTreeError::CapacityExceeded { requested }) => {
@@ -651,6 +659,7 @@ fn oversized_default_batches_are_typed_errors_that_change_nothing() {
         assert_eq!((s.len(), s.live_len()), (64, 64), "{spec}");
         assert_eq!(labels(&*s), before, "{spec}");
         assert_eq!(s.scheme_stats(), stats, "{spec}");
+        assert_eq!(s.memory_bytes(), bytes, "{spec}");
     }
 }
 
