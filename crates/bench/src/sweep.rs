@@ -33,7 +33,7 @@ use ltree::{DynScheme, Instrumented, LTreeError, SchemeStats};
 
 /// Version of the `BENCH_sweep.json` schema. Bump on any breaking field
 /// change; consumers must reject versions they do not know.
-pub const SWEEP_SCHEMA_VERSION: u64 = 1;
+pub const SWEEP_SCHEMA_VERSION: u64 = 2;
 
 /// What to sweep: scheme spec strings × workload profiles × initial
 /// sizes, with the per-size operation budget and the script seed.
@@ -126,28 +126,25 @@ pub struct SweepCell {
     pub ops: usize,
     /// The measurement, or the failure message.
     pub outcome: Result<CellMetrics, String>,
-    /// Per-segment cost breakdown after the replay
-    /// ([`ltree::Instrumented::stats_breakdown`]) — one entry per shard for
-    /// partitioned schemes, empty for every other.
-    pub shards: Vec<(String, SchemeStats)>,
-    /// The `net/`, `wal/` and `audit/` metric counters the cell's stack
-    /// reports after the replay, name-sorted: transport counts for
-    /// remote schemes, log counts for durable ones, audit counts for
-    /// checked ones; empty for plain local schemes.
+    /// The `net/`, `wal/`, `audit/` and `seg/` metric counters the
+    /// cell's stack reports after the replay, name-sorted: transport
+    /// counts for remote schemes, log counts for durable ones, audit
+    /// counts for checked ones, each live segment's cost for sharded
+    /// ones; empty for plain local schemes.
     pub counters: Vec<(String, u64)>,
 }
 
 /// The metric namespaces a cell's `counters` record: transport,
-/// write-ahead log and audit counts.
-const CELL_COUNTER_PREFIXES: [&str; 3] = ["net/", "wal/", "audit/"];
+/// write-ahead log, audit and per-segment cost counts.
+const CELL_COUNTER_PREFIXES: [&str; 4] = ["net/", "wal/", "audit/", "seg/"];
 
 impl SweepCell {
     /// Client round trips for remote schemes (the `net/round-trips`
     /// counter), `None` for local ones. Covers the replay and the
-    /// end-of-run breakdown and metric reads — the handshake and
-    /// initial bulk build are excluded, because the workload drivers
-    /// reset the scheme counters after the bulk build and the client
-    /// resets its transport counters with them.
+    /// end-of-run metric read — the handshake and initial bulk build
+    /// are excluded, because the workload drivers reset the scheme
+    /// counters after the bulk build and the client resets its
+    /// transport counters with them.
     pub fn round_trips(&self) -> Option<u64> {
         self.counters
             .iter()
@@ -155,10 +152,13 @@ impl SweepCell {
             .map(|&(_, v)| v)
     }
 
-    /// Segments in the breakdown — what the table's shard-count column
-    /// shows.
+    /// Live segments of a partitioned scheme — its `seg/<i>/inserts`
+    /// counters — which the table's shard-count column shows.
     pub fn segment_count(&self) -> usize {
-        self.shards.len()
+        self.counters
+            .iter()
+            .filter(|(name, _)| name.starts_with("seg/") && name.ends_with("/inserts"))
+            .count()
     }
 
     /// For a cell whose spec is a `checked(...)` auditor wrapper, the
@@ -316,17 +316,15 @@ fn latency_quantiles(metrics: &[Metric]) -> (u64, u64) {
     (merged.quantile(0.50), merged.quantile(0.99))
 }
 
-/// What a replayed cell reports: its measurement, per-segment breakdown
-/// and metric counters.
-type Observed = (CellMetrics, Vec<(String, SchemeStats)>, Vec<(String, u64)>);
+/// What a replayed cell reports: its measurement and metric counters.
+type Observed = (CellMetrics, Vec<(String, u64)>);
 
-/// Read a replayed cell's numbers off its traced stack. The breakdown is
-/// read before the one metrics snapshot, so a remote cell's `net/`
-/// counters include both collection round trips; `memory_bytes` is read
-/// last, off the unwrapped spec, so it counts the spec's own bytes and
-/// not the tracer's histograms.
+/// Read a replayed cell's numbers off its traced stack: one metrics
+/// snapshot, so a remote cell's `net/` counters include that one
+/// collection round trip; `memory_bytes` is read last, off the
+/// unwrapped spec, so it counts the spec's own bytes and not the
+/// tracer's histograms.
 fn observe(traced: TracedScheme<Box<dyn DynScheme>>, report: &WorkloadReport) -> Observed {
-    let shards = traced.stats_breakdown();
     let metrics = traced.metrics();
     let counters = metrics
         .iter()
@@ -338,7 +336,7 @@ fn observe(traced: TracedScheme<Box<dyn DynScheme>>, report: &WorkloadReport) ->
         .collect();
     let memory_bytes = traced.into_inner().memory_bytes() as u64;
     let m = CellMetrics::from_report(report, &metrics, memory_bytes);
-    (m, shards, counters)
+    (m, counters)
 }
 
 /// Run the sweep. Per-cell failures are *recorded*, not propagated — a
@@ -347,7 +345,7 @@ fn observe(traced: TracedScheme<Box<dyn DynScheme>>, report: &WorkloadReport) ->
 /// Every cell replays under a [`TracedScheme`] the sweep wraps around the
 /// built spec (never part of the recorded spec string): the wrapper's
 /// per-op latency histograms are where the cell's `p50_ns`/`p99_ns`
-/// figures come from, its counters/breakdown forward to the inner scheme
+/// figures come from, its counters forward to the inner scheme
 /// untouched, and `memory_bytes` is read off the unwrapped spec, so the
 /// deterministic columns are exactly what the bare spec would record.
 pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
@@ -405,9 +403,9 @@ fn cell(
     ops: usize,
     measured: Result<Observed, String>,
 ) -> SweepCell {
-    let (outcome, shards, counters) = match measured {
-        Ok((m, shards, counters)) => (Ok(m), shards, counters),
-        Err(e) => (Err(e), Vec::new(), Vec::new()),
+    let (outcome, counters) = match measured {
+        Ok((m, counters)) => (Ok(m), counters),
+        Err(e) => (Err(e), Vec::new()),
     };
     SweepCell {
         spec: spec.to_owned(),
@@ -415,7 +413,6 @@ fn cell(
         n,
         ops,
         outcome,
-        shards,
         counters,
     }
 }
@@ -486,8 +483,8 @@ impl SweepReport {
         t.note("relabels/op = label writes per inserted item (the paper's cost unit); the");
         t.note("same numbers are emitted to BENCH_sweep.json for CI.");
         t.note("shards = final segment count for partitioned schemes (the JSON report");
-        t.note("carries the full per-shard counter breakdown, plus each cell's net/, wal/");
-        t.note("and audit/ metric counters); rtt = client round trips");
+        t.note("carries each segment's seg/<i>/ cost counters, plus each cell's net/,");
+        t.note("wal/ and audit/ metric counters); rtt = client round trips");
         t.note("for remote schemes — batching is what keeps it near the splice count;");
         t.note("audit ovh = in-scheme wall-clock a `checked` cell costs vs its plain twin");
         t.note("(reported, never gated — the contract auditor is verification, not a");
@@ -636,29 +633,9 @@ impl SweepReport {
                         if let Some(rt) = c.round_trips() {
                             members.push(("round_trips".into(), rt.into()));
                         }
-                        // Additive within schema version 1: absent for
-                        // monolithic schemes, one entry per segment for
-                        // partitioned ones.
-                        if !c.shards.is_empty() {
-                            let shards = c
-                                .shards
-                                .iter()
-                                .map(|(name, s)| {
-                                    Json::Obj(vec![
-                                        ("name".into(), name.as_str().into()),
-                                        ("inserts".into(), s.inserts.into()),
-                                        ("deletes".into(), s.deletes.into()),
-                                        ("label_writes".into(), s.label_writes.into()),
-                                        ("node_touches".into(), s.node_touches.into()),
-                                        ("relabel_events".into(), s.relabel_events.into()),
-                                    ])
-                                })
-                                .collect();
-                            members.push(("shards".into(), Json::Arr(shards)));
-                        }
-                        // Additive within schema version 1: the cell's
-                        // net/, wal/ and audit/ metric counters by name,
-                        // absent when the stack reports none.
+                        // The cell's net/, wal/, audit/ and seg/ metric
+                        // counters by name, absent when the stack
+                        // reports none.
                         if !c.counters.is_empty() {
                             let counters = c
                                 .counters
@@ -744,26 +721,6 @@ impl SweepReport {
                     .unwrap_or("unknown error")
                     .to_owned())
             };
-            let mut shards = Vec::new();
-            if let Some(list) = c.get("shards").and_then(Json::as_array) {
-                for s in list {
-                    let name = s
-                        .get("name")
-                        .and_then(Json::as_str)
-                        .ok_or("shard missing 'name'")?
-                        .to_owned();
-                    shards.push((
-                        name,
-                        SchemeStats {
-                            inserts: field(s, "inserts")?,
-                            deletes: field(s, "deletes")?,
-                            label_writes: field(s, "label_writes")?,
-                            node_touches: field(s, "node_touches")?,
-                            relabel_events: field(s, "relabel_events")?,
-                        },
-                    ));
-                }
-            }
             let mut counters = Vec::new();
             if let Some(Json::Obj(members)) = c.get("counters") {
                 for (name, v) in members {
@@ -779,7 +736,6 @@ impl SweepReport {
                 n,
                 ops,
                 outcome,
-                shards,
                 counters,
             });
         }
@@ -922,16 +878,23 @@ mod tests {
     fn sharded_cells_carry_the_per_shard_breakdown() {
         let report = run_sweep(&tiny_config());
         for c in &report.cells {
+            let segment_writes: Vec<u64> = c
+                .counters
+                .iter()
+                .filter(|(name, _)| name.starts_with("seg/") && name.ends_with("/label-writes"))
+                .map(|&(_, v)| v)
+                .collect();
+            assert_eq!(segment_writes.len(), c.segment_count(), "{}", c.spec);
             if c.spec.starts_with("sharded") {
                 assert!(c.segment_count() > 0, "{} × {}", c.spec, c.workload);
-                let agg: u64 = c.shards.iter().map(|(_, s)| s.label_writes).sum();
                 let m = c.outcome.as_ref().unwrap();
                 // Live segments cannot have written more labels than the
                 // aggregate (retired segments fold into the aggregate).
-                assert!(agg <= m.label_writes, "{} × {}", c.spec, c.workload);
+                let live: u64 = segment_writes.iter().sum();
+                assert!(live <= m.label_writes, "{} × {}", c.spec, c.workload);
             } else {
                 // Transport counts are metric counters, never segments.
-                assert!(c.shards.is_empty(), "{}", c.spec);
+                assert_eq!(c.segment_count(), 0, "{}", c.spec);
             }
         }
     }
@@ -965,8 +928,7 @@ mod tests {
     /// The durable cell: counters identical to its plain twin (the
     /// wrapper forwards the inner scheme's stats — durability is pure
     /// overhead, never label maintenance), `wal/...` metric counters
-    /// but no breakdown entries, and a `dur ovh` figure against the
-    /// twin.
+    /// but no segments, and a `dur ovh` figure against the twin.
     #[test]
     fn durable_cells_report_overhead_against_their_plain_twin() {
         let mut cfg = tiny_config();
@@ -1086,7 +1048,6 @@ mod tests {
                 a.spec,
                 a.workload
             );
-            assert_eq!(a.shards, b.shards, "{} × {}", a.spec, a.workload);
             assert_eq!(a.counters, b.counters, "{} × {}", a.spec, a.workload);
         }
         assert!(

@@ -499,28 +499,28 @@ pub trait Instrumented {
     /// Reset the cost counters.
     fn reset_scheme_stats(&mut self);
 
-    /// Per-segment breakdown of [`scheme_stats`](Self::scheme_stats),
-    /// as `(segment, stats)` pairs, **sorted by segment name**. Empty
-    /// for monolithic schemes (the default); partitioned schemes (e.g.
-    /// `ltree-sharded`) report one entry per segment so the bench
-    /// harness can show where the cost concentrates. Wrappers forward
-    /// their inner scheme's breakdown unchanged. Every entry is the
-    /// paper's cost and nothing else, so each field summed over the
-    /// entries is at most the aggregate's (retired segments may be
-    /// folded into the aggregate only).
+    /// Always empty: no scheme in the workspace overrides it. A
+    /// partitioned scheme reports its cost per segment as `seg/<i>/…`
+    /// counters in [`metrics`](Self::metrics) instead. The method
+    /// remains only because the standalone benchmark
+    /// (`crates/bench/src/bin/ltbench`) still forwards it in its `Span`
+    /// wrapper and falls back to it in its `series()` lookup; it goes
+    /// with those two.
     fn stats_breakdown(&self) -> Vec<(String, SchemeStats)> {
         Vec::new()
     }
 
-    /// Every count and timing that is not the paper's cost, as passive
+    /// Every count and timing beyond the aggregate cost, as passive
     /// [`Metric`](crate::metrics::Metric) snapshots sorted by name:
     /// latency histograms, gauges, and counters such as transport
-    /// (`net/…`), write-ahead-log (`wal/…`) and audit (`audit/…`)
-    /// counts. Empty by default — only instrumented layers (`traced(…)`,
-    /// `durable(…)`, `checked(…)`, the remote client and server)
-    /// produce entries; composing wrappers concatenate their own entries
-    /// with the inner scheme's so the full stack is visible through one
-    /// call on the outermost `Box<dyn DynScheme>`.
+    /// (`net/…`), write-ahead-log (`wal/…`), audit (`audit/…`) and
+    /// per-segment cost (`seg/<i>/…`, the paper's cost of each live
+    /// segment of a partitioned scheme) counts. Empty by default — only
+    /// instrumented layers (`traced(…)`, `durable(…)`, `checked(…)`,
+    /// `sharded(…)`, the remote client and server) produce entries;
+    /// composing wrappers concatenate their own entries with the inner
+    /// scheme's so the full stack is visible through one call on the
+    /// outermost `Box<dyn DynScheme>`.
     fn metrics(&self) -> Vec<crate::metrics::Metric> {
         Vec::new()
     }
@@ -648,9 +648,6 @@ macro_rules! forward_instrumented {
         }
         fn reset_scheme_stats(&mut self) {
             (**self).reset_scheme_stats()
-        }
-        fn stats_breakdown(&self) -> Vec<(String, SchemeStats)> {
-            (**self).stats_breakdown()
         }
         fn metrics(&self) -> Vec<crate::metrics::Metric> {
             (**self).metrics()

@@ -1,11 +1,11 @@
 //! # `ltree-obs` — the live observability layer
 //!
-//! The workspace's counters ([`ltree_core::SchemeStats`],
-//! `stats_breakdown()`) count *items*; this crate counts *time*. The
-//! paper's claim is amortized relabel cost, and an average is exactly
-//! the statistic that hides the spikes a rebalance causes — only
-//! latency distributions (tail quantiles) and per-phase timing make the
-//! amortization visible. Two pieces:
+//! The workspace's counters ([`ltree_core::SchemeStats`] and the
+//! per-segment `seg/<i>/…` counters) count *items*; this crate counts
+//! *time*. The paper's claim is amortized relabel cost, and an average
+//! is exactly the statistic that hides the spikes a rebalance causes —
+//! only latency distributions (tail quantiles) and per-phase timing
+//! make the amortization visible. Two pieces:
 //!
 //! * [`MetricsRegistry`] — named, lock-free [`Counter`]s, [`Gauge`]s
 //!   and log-bucketed [`Histogram`]s (32 sub-buckets per octave,
@@ -366,7 +366,7 @@ pub fn mutation_histogram(metrics: &[Metric]) -> HistogramSnapshot {
 /// latency histogram per op kind (`obs/op/...`) and surfaces the stack's
 /// metrics through [`Instrumented::metrics`]. A timed call records one
 /// sample, two relaxed atomic adds; no call takes a lock. Pure forwarding
-/// otherwise — counters, breakdowns and list semantics are untouched,
+/// otherwise — counters and list semantics are untouched,
 /// so the conformance suite runs `traced(...)` specs unchanged.
 #[derive(Debug)]
 pub struct TracedScheme<S> {
@@ -508,10 +508,6 @@ impl<S: Instrumented> Instrumented for TracedScheme<S> {
         for h in &self.rec.0 {
             h.reset();
         }
-    }
-
-    fn stats_breakdown(&self) -> Vec<(String, SchemeStats)> {
-        self.inner.stats_breakdown()
     }
 
     fn metrics(&self) -> Vec<Metric> {
@@ -704,7 +700,10 @@ mod tests {
         s.reset_scheme_stats();
         s.insert_after(hs[2]).unwrap();
         assert_eq!(s.scheme_stats().inserts, 1);
-        assert!(s.stats_breakdown().is_empty(), "no synthetic components");
+        assert!(
+            s.metrics().iter().all(|m| m.name.starts_with("obs/op/")),
+            "no series beyond the op histograms"
+        );
         // Errors pass through typed, and a failed call is one sample too.
         assert!(matches!(
             s.insert_after(LeafHandle(u64::MAX)),

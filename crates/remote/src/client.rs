@@ -40,8 +40,8 @@
 //! `net/{round-trips,bytes-in,bytes-out,reconnects}` counters, also
 //! available in typed form via
 //! [`transport_stats`](RemoteScheme::transport_stats). The
-//! [`Instrumented`] cost counters and breakdown are the hosted
-//! scheme's, forwarded unchanged.
+//! [`Instrumented`] cost counters are the hosted scheme's, forwarded
+//! unchanged.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard};
@@ -506,15 +506,6 @@ impl Instrumented for RemoteScheme {
     fn reset_scheme_stats(&mut self) {
         let _ = self.pool.call_read(&Request::ResetStats);
         self.pool.reset_stats();
-    }
-
-    /// The hosted scheme's breakdown (one round trip); empty on
-    /// transport failure.
-    fn stats_breakdown(&self) -> Vec<(String, SchemeStats)> {
-        match self.pool.call_read(&Request::StatsBreakdown) {
-            Ok(Response::Breakdown(entries)) => entries,
-            _ => Vec::new(),
-        }
     }
 
     /// The server's full metric snapshot — its own instrumentation

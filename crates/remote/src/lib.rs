@@ -386,14 +386,12 @@ mod tests {
         let stats = s.scheme_stats();
         assert_eq!(stats.inserts, 1);
         assert!(stats.label_writes >= 1);
-        // The breakdown is the hosted scheme's cost record alone.
-        assert!(s.stats_breakdown().is_empty());
         let metrics = s.metrics();
         let net = |k: &str| counter(&metrics, k);
         assert_eq!(
             net("net/round-trips"),
-            4,
-            "insert, stats, breakdown and the scrape itself"
+            3,
+            "insert, stats and the scrape itself"
         );
         assert!(net("net/bytes-out") > 0);
         assert!(net("net/bytes-in") > 0);
@@ -411,7 +409,6 @@ mod tests {
         // Host-side view: bulk loading is not an update in the paper's
         // model, so only the point insert counts.
         assert_eq!(server.scheme_stats().inserts, 1);
-        assert!(server.stats_breakdown().is_empty());
         assert!(counter(&server.metrics(), "net/conn0/round-trips") >= 2);
     }
 
@@ -479,7 +476,8 @@ mod tests {
     }
 
     /// The point-read frames protocol 3 retired (`Name`, `LabelOf`,
-    /// `FirstInOrder`, `NextInOrder`: tags 2, 3, 6 and 7) are answered
+    /// `FirstInOrder`, `NextInOrder`: tags 2, 3, 6 and 7) and the
+    /// `StatsBreakdown` request protocol 4 retired (tag 19) are answered
     /// with a typed error, and the connection stays in frame sync. No
     /// client can encode them any more, so they go out as raw frames.
     #[test]
@@ -509,6 +507,7 @@ mod tests {
             [&[3], &handle[..]].concat(),
             vec![6],
             [&[7], &handle[..]].concat(),
+            vec![19],
         ];
         for frame in retired {
             match exchange(&frame) {
@@ -523,6 +522,32 @@ mod tests {
                 "frame sync after tag {}",
                 frame[0]
             );
+        }
+    }
+
+    /// A client that speaks the previous protocol (v3, which still had
+    /// the breakdown frames) is refused at the handshake with a typed
+    /// error naming its version.
+    #[test]
+    fn an_older_protocol_hello_is_refused_with_a_typed_error() {
+        use crate::wire::{
+            decode_response, encode_request, read_frame, write_frame, Request, Response,
+        };
+        let server = LabelServer::bind("127.0.0.1:0", ltree()).unwrap();
+        let mut conn = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        let hello = Request::Hello {
+            version: PROTOCOL_VERSION - 1,
+        };
+        write_frame(&mut conn, &encode_request(&hello)).unwrap();
+        match decode_response(&read_frame(&mut conn).unwrap().unwrap()).unwrap() {
+            Response::Err(LTreeError::Remote { context }) => {
+                assert!(context.contains("protocol version mismatch"), "{context}");
+                assert!(
+                    context.contains(&format!("client speaks {}", PROTOCOL_VERSION - 1)),
+                    "{context}"
+                );
+            }
+            other => panic!("expected a Remote error, got {other:?}"),
         }
     }
 

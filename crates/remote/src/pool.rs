@@ -471,14 +471,6 @@ impl ConnectionPool {
         total
     }
 
-    /// Per-connection counters, in slot order (connection 0 is the
-    /// write connection). Never-used slots report zeros.
-    pub fn per_conn_stats(&self) -> Vec<TransportStats> {
-        (0..self.slots.len())
-            .map(|i| self.lock_slot(i).stats)
-            .collect()
-    }
-
     /// Zero every counter (the reset discipline of
     /// [`Instrumented::reset_scheme_stats`](ltree_core::Instrumented)).
     pub fn reset_stats(&self) {

@@ -309,9 +309,9 @@ impl Drop for LabelServer {
     }
 }
 
-/// Host-side instrumentation: the hosted scheme's cost counters and
-/// breakdown, and the full metric scrape — the same snapshot a wire
-/// `Metrics` request returns.
+/// Host-side instrumentation: the hosted scheme's cost counters, and
+/// the full metric scrape — the same snapshot a wire `Metrics` request
+/// returns.
 impl Instrumented for LabelServer {
     fn scheme_stats(&self) -> SchemeStats {
         read_lock(&self.scheme).scheme_stats()
@@ -319,10 +319,6 @@ impl Instrumented for LabelServer {
 
     fn reset_scheme_stats(&mut self) {
         write_lock(&self.scheme).reset_scheme_stats();
-    }
-
-    fn stats_breakdown(&self) -> Vec<(String, SchemeStats)> {
-        read_lock(&self.scheme).stats_breakdown()
     }
 
     fn metrics(&self) -> Vec<Metric> {
@@ -574,7 +570,6 @@ where
             write_lock(scheme).reset_scheme_stats();
             Response::Unit
         }
-        Request::StatsBreakdown => Response::Breakdown(read_lock(scheme).stats_breakdown()),
         Request::Metrics => Response::Metrics(full_metrics(metrics, &rl)),
     }
 }

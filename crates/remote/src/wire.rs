@@ -30,9 +30,9 @@
 //!   `first_in_order` and `next_in_order` from pages, and `name`
 //!   locally, so no point-read frame exists.
 //! * **Stable tags.** A frame keeps its tag byte for life; a removed
-//!   frame's tag is never reused (request tags 2, 3, 6 and 7, response
-//!   tags 2, 3 and 5 are retired). The write-ahead log stores wire
-//!   encoded write frames, so its records keep their bytes.
+//!   frame's tag is never reused (request tags 2, 3, 6, 7 and 19,
+//!   response tags 2, 3, 5 and 12 are retired). The write-ahead log
+//!   stores wire encoded write frames, so its records keep their bytes.
 //!
 //! Every frame type round-trips exactly (`decode(encode(f)) == f`);
 //! `tests` drive that with a SplitMix64 fuzzer, error frames included.
@@ -46,8 +46,10 @@ use ltree_core::{LTreeError, Result, SchemeStats};
 /// [`Request::Metrics`] / [`Response::Metrics`] scrape frames; 3 —
 /// removes the point-read requests `Name`, `LabelOf`, `FirstInOrder`
 /// and `NextInOrder` and the `Name`, `Label` and `MaybeHandle`
-/// responses only they produced.
-pub const PROTOCOL_VERSION: u32 = 3;
+/// responses only they produced; 4 — removes the `StatsBreakdown`
+/// request and its `Breakdown` response (per-segment cost travels as
+/// `seg/<i>/…` counters in the `Metrics` scrape).
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// Hard cap on a single frame's payload: fits a bulk-build response of
 /// up to [`MAX_REPLY_HANDLES`] handles, and fails fast on a corrupt
@@ -105,8 +107,6 @@ pub enum Request {
     Stats,
     /// [`reset_scheme_stats`](ltree_core::Instrumented::reset_scheme_stats).
     ResetStats,
-    /// [`stats_breakdown`](ltree_core::Instrumented::stats_breakdown).
-    StatsBreakdown,
     /// A full metrics scrape: the server's own instrumentation (request
     /// and per-connection counters, per-phase latency histograms)
     /// concatenated with the
@@ -135,7 +135,6 @@ impl Request {
             Request::Page { .. } => "Page",
             Request::Stats => "Stats",
             Request::ResetStats => "ResetStats",
-            Request::StatsBreakdown => "StatsBreakdown",
             Request::Metrics => "Metrics",
         }
     }
@@ -188,8 +187,6 @@ pub enum Response {
     },
     /// Aggregate cost counters.
     Stats(SchemeStats),
-    /// Per-component counter breakdown.
-    Breakdown(Vec<(String, SchemeStats)>),
     /// The operation failed; see [`wire_error`] for which variants
     /// travel losslessly.
     Err(LTreeError),
@@ -339,7 +336,6 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         }
         Request::Stats => put_u8(&mut b, 17),
         Request::ResetStats => put_u8(&mut b, 18),
-        Request::StatsBreakdown => put_u8(&mut b, 19),
         Request::Metrics => put_u8(&mut b, 20),
     }
     b
@@ -421,14 +417,6 @@ pub fn encode_response(resp: &Response) -> Vec<u8> {
         Response::Stats(s) => {
             put_u8(&mut b, 11);
             put_stats(&mut b, s);
-        }
-        Response::Breakdown(entries) => {
-            put_u8(&mut b, 12);
-            put_u32(&mut b, entries.len() as u32);
-            for (name, s) in entries {
-                put_str(&mut b, name);
-                put_stats(&mut b, s);
-            }
         }
         Response::Err(e) => {
             put_u8(&mut b, 13);
@@ -605,7 +593,6 @@ pub fn decode_request(bytes: &[u8]) -> Result<Request> {
         },
         17 => Request::Stats,
         18 => Request::ResetStats,
-        19 => Request::StatsBreakdown,
         20 => Request::Metrics,
         _ => return Err(bad("bad request tag")),
     };
@@ -663,16 +650,6 @@ pub fn decode_response(bytes: &[u8]) -> Result<Response> {
             Response::Page { items, at_end }
         }
         11 => Response::Stats(b.stats()?),
-        12 => {
-            let n = b.u32()? as usize;
-            let mut entries = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                let name = b.str()?;
-                let s = b.stats()?;
-                entries.push((name, s));
-            }
-            Response::Breakdown(entries)
-        }
         13 => Response::Err(decode_error(&mut b)?),
         14 => {
             let n = b.u32()? as usize;
@@ -817,7 +794,7 @@ mod tests {
     }
 
     fn rand_request(rng: &mut SplitMix64) -> Request {
-        match rng.gen_range(0..17) {
+        match rng.gen_range(0..16) {
             0 => Request::Hello {
                 version: rng.next_u64() as u32,
             },
@@ -844,13 +821,12 @@ mod tests {
             },
             13 => Request::Stats,
             14 => Request::ResetStats,
-            15 => Request::StatsBreakdown,
             _ => Request::Metrics,
         }
     }
 
     fn rand_response(rng: &mut SplitMix64) -> Response {
-        match rng.gen_range(0..11) {
+        match rng.gen_range(0..10) {
             0 => Response::Hello {
                 version: rng.next_u64() as u32,
             },
@@ -878,14 +854,6 @@ mod tests {
             }
             7 => Response::Stats(rand_stats(rng)),
             8 => {
-                let n = rng.gen_range(0..6);
-                Response::Breakdown(
-                    (0..n)
-                        .map(|_| (rand_string(rng), rand_stats(rng)))
-                        .collect(),
-                )
-            }
-            9 => {
                 let n = rng.gen_range(0..6);
                 Response::Metrics((0..n).map(|_| rand_metric(rng)).collect())
             }
@@ -937,11 +905,11 @@ mod tests {
         assert!(decode_request(&[]).is_err());
         assert!(decode_request(&[200]).is_err(), "unknown tag");
         assert!(decode_request(&[12, 1, 2]).is_err(), "short handle");
-        // Retired point-read tags are unknown, not reinterpreted.
-        for tag in [2, 3, 6, 7] {
+        // Retired tags are unknown, not reinterpreted.
+        for tag in [2, 3, 6, 7, 19] {
             assert!(decode_request(&[tag]).is_err(), "retired request tag {tag}");
         }
-        for tag in [2, 3, 5] {
+        for tag in [2, 3, 5, 12] {
             assert!(
                 decode_response(&[tag]).is_err(),
                 "retired response tag {tag}"

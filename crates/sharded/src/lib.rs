@@ -24,9 +24,8 @@
 //!   segment boundaries, one inner `delete_run` per touched segment;
 //! * [`Instrumented`] — counters aggregate over all segments (counters
 //!   of retired segments are folded in, keeping the monotonicity
-//!   contract across merges) and
-//!   [`stats_breakdown`](Instrumented::stats_breakdown) reports the
-//!   per-shard split.
+//!   contract across merges) and [`metrics`](Instrumented::metrics)
+//!   reports each live segment's share as `seg/<i>/…` counters.
 //!
 //! Rebalancing traffic (migration inserts/deletes) is *counted*: moving
 //! an item between segments relabels it, and that is precisely the
@@ -55,6 +54,7 @@
 
 use std::collections::HashMap;
 
+use ltree_core::metrics::{merge_metrics, Metric};
 use ltree_core::registry::{as_u32, SchemeRegistry, SpecArg};
 use ltree_core::{
     BatchLabeling, DynScheme, Instrumented, LTreeError, LabelingScheme, LeafHandle,
@@ -104,18 +104,30 @@ impl ShardedConfig {
     }
 }
 
-/// One directory entry: where a global handle currently lives. Entries
-/// are never removed — a deleted item whose inner handle is gone (its
-/// segment merged away, or the inner scheme removed it physically)
-/// becomes a *detached* tombstone (`loc: None`). Keeping detached
-/// entries makes [`OrderedLabeling::len`] independent of rebalancing
-/// timing: the same logical edit stream always reports the same `len`,
-/// whether applied as batches or as single ops.
+/// The segment slot of a detached directory entry.
+const DETACHED: u32 = u32::MAX;
+
+/// One directory entry (16 B): where a global handle currently lives.
+/// Entries are never removed — a deleted item whose inner handle is
+/// gone (its segment merged away, or the inner scheme removed it
+/// physically) becomes a *detached* tombstone (`slot == DETACHED`).
+/// Keeping detached entries makes [`OrderedLabeling::len`] independent
+/// of rebalancing timing: the same logical edit stream always reports
+/// the same `len`, whether applied as batches or as single ops.
 #[derive(Debug, Clone, Copy)]
 struct DirEntry {
-    /// Current segment slot + inner handle; `None` once detached.
-    loc: Option<(usize, LeafHandle)>,
+    /// The handle in `slot`'s inner scheme; stale once detached.
+    inner: LeafHandle,
+    /// Current segment slot, or [`DETACHED`].
+    slot: u32,
     alive: bool,
+}
+
+impl DirEntry {
+    /// Current `(slot, inner handle)`; `None` once detached.
+    fn loc(&self) -> Option<(usize, LeafHandle)> {
+        (self.slot != DETACHED).then_some((self.slot as usize, self.inner))
+    }
 }
 
 /// One segment: an inner scheme plus the reverse map from its handles
@@ -149,11 +161,10 @@ pub struct ShardedScheme<S: LabelingScheme> {
     /// mutation: recomputing it per read would cost one
     /// `label_space_bits` call per segment on every `label_of`.
     shift: u32,
-    /// Global handle → current location. Entries survive relabelings,
-    /// splits and merges; they are dropped only when the item is gone
-    /// from the inner scheme too.
-    dir: HashMap<u64, DirEntry>,
-    next_id: u64,
+    /// Global handle → current location, indexed by the handle: handles
+    /// are minted as `0..dir.len()` and entries are never removed, so
+    /// they survive relabelings, splits and merges.
+    dir: Vec<DirEntry>,
     n_live: usize,
     /// Counters of merged-away segments, folded into the aggregate so
     /// [`Instrumented`] stays monotone when a segment retires.
@@ -184,8 +195,7 @@ impl<S: LabelingScheme> ShardedScheme<S> {
             order: Vec::new(),
             ranks: Vec::new(),
             shift: 1,
-            dir: HashMap::new(),
-            next_id: 0,
+            dir: Vec::new(),
             n_live: 0,
             retired: SchemeStats::default(),
         };
@@ -194,7 +204,7 @@ impl<S: LabelingScheme> ShardedScheme<S> {
             let slot = me.alloc_slot(Shard {
                 scheme,
                 to_global: HashMap::new(),
-            });
+            })?;
             me.order.push(slot);
         }
         me.rebuild_ranks();
@@ -224,7 +234,7 @@ impl<S: LabelingScheme> ShardedScheme<S> {
     /// handle, or `None` for untracked or detached handles.
     /// Test/diagnostic hook.
     pub fn shard_of(&self, h: LeafHandle) -> Option<usize> {
-        let (slot, _) = self.dir.get(&h.0)?.loc?;
+        let (slot, _) = self.entry(h)?.loc()?;
         Some(self.rank_of(slot))
     }
 
@@ -268,31 +278,43 @@ impl<S: LabelingScheme> ShardedScheme<S> {
             .max(1);
     }
 
-    fn alloc_slot(&mut self, shard: Shard<S>) -> usize {
+    /// Store a new segment. Slots are never reused, and a directory
+    /// entry holds its slot as a `u32` below [`DETACHED`], so a slot
+    /// index that would not fit is refused.
+    fn alloc_slot(&mut self, shard: Shard<S>) -> Result<usize> {
+        let slot = self.slots.len();
+        if slot >= DETACHED as usize {
+            return Err(LTreeError::CapacityExceeded {
+                requested: slot as u64 + 1,
+            });
+        }
         self.slots.push(Some(shard));
-        self.slots.len() - 1
+        Ok(slot)
+    }
+
+    /// The directory entry of a handle; `None` for a foreign or
+    /// out-of-range one.
+    fn entry(&self, h: LeafHandle) -> Option<&DirEntry> {
+        self.dir.get(usize::try_from(h.0).ok()?)
     }
 
     /// Where a handle lives, as `(slot, inner, alive)`. Untracked
     /// handles error with [`LTreeError::UnknownHandle`], detached
     /// tombstones with [`LTreeError::DeletedLeaf`].
     fn locate(&self, h: LeafHandle) -> Result<(usize, LeafHandle, bool)> {
-        let e = self.dir.get(&h.0).ok_or(LTreeError::UnknownHandle)?;
-        let (slot, inner) = e.loc.ok_or(LTreeError::DeletedLeaf)?;
+        let e = self.entry(h).ok_or(LTreeError::UnknownHandle)?;
+        let (slot, inner) = e.loc().ok_or(LTreeError::DeletedLeaf)?;
         Ok((slot, inner, e.alive))
     }
 
     /// Register a freshly inserted inner handle; returns the global one.
     fn track(&mut self, slot: usize, inner: LeafHandle) -> LeafHandle {
-        let g = self.next_id;
-        self.next_id += 1;
-        self.dir.insert(
-            g,
-            DirEntry {
-                loc: Some((slot, inner)),
-                alive: true,
-            },
-        );
+        let g = self.dir.len() as u64;
+        self.dir.push(DirEntry {
+            inner,
+            slot: slot as u32,
+            alive: true,
+        });
         self.shard_mut(slot).to_global.insert(inner.0, g);
         self.n_live += 1;
         LeafHandle(g)
@@ -306,10 +328,10 @@ impl<S: LabelingScheme> ShardedScheme<S> {
         if gone {
             self.shard_mut(slot).to_global.remove(&inner.0);
         }
-        let e = self.dir.get_mut(&g).expect("deleted handle is tracked");
+        let e = &mut self.dir[g as usize];
         e.alive = false;
         if gone {
-            e.loc = None;
+            e.slot = DETACHED;
         }
         self.n_live -= 1;
     }
@@ -339,7 +361,7 @@ impl<S: LabelingScheme> ShardedScheme<S> {
     fn next_live_after(&self, h: LeafHandle) -> Option<LeafHandle> {
         let mut cur = self.next_in_order(h);
         while let Some(n) = cur {
-            if self.dir[&n.0].alive {
+            if self.dir[n.0 as usize].alive {
                 return Some(n);
             }
             cur = self.next_in_order(n);
@@ -354,7 +376,7 @@ impl<S: LabelingScheme> ShardedScheme<S> {
         let mut cur = sh.scheme.first_in_order();
         while let Some(ih) = cur {
             if let Some(&g) = sh.to_global.get(&ih.0) {
-                if self.dir[&g].alive {
+                if self.dir[g as usize].alive {
                     out.push((g, ih));
                 }
             }
@@ -399,16 +421,14 @@ impl<S: LabelingScheme> ShardedScheme<S> {
         let new_slot = self.alloc_slot(Shard {
             scheme: fresh,
             to_global: HashMap::new(),
-        });
+        })?;
         let rank = self.rank_of(s);
         self.order.insert(rank + 1, new_slot);
         self.rebuild_ranks();
 
         for (&(g, old_inner), &new_inner) in tail.iter().zip(&new_inners) {
             self.shard_mut(s).to_global.remove(&old_inner.0);
-            let e = self.dir.get_mut(&g).expect("migrated handle is tracked");
-            e.loc = Some((new_slot, new_inner));
-            self.shard_mut(new_slot).to_global.insert(new_inner.0, g);
+            self.relocate(g, new_slot, new_inner);
         }
         Ok(new_slot)
     }
@@ -479,9 +499,7 @@ impl<S: LabelingScheme> ShardedScheme<S> {
         };
 
         for (&(g, _), &new_inner) in movers.iter().zip(&new_inners) {
-            let e = self.dir.get_mut(&g).expect("migrated handle is tracked");
-            e.loc = Some((dst, new_inner));
-            self.shard_mut(dst).to_global.insert(new_inner.0, g);
+            self.relocate(g, dst, new_inner);
         }
 
         let rank = self.rank_of(src);
@@ -493,14 +511,22 @@ impl<S: LabelingScheme> ShardedScheme<S> {
         // Tombstones that still lived in src lose their position but not
         // their identity: they detach, keeping `len` stable.
         for (_, g) in retired.to_global {
-            if let Some(e) = self.dir.get_mut(&g) {
-                if e.loc.is_some_and(|(slot, _)| slot == src) {
-                    debug_assert!(!e.alive, "live items were migrated");
-                    e.loc = None;
-                }
+            let e = &mut self.dir[g as usize];
+            if e.slot as usize == src {
+                debug_assert!(!e.alive, "live items were migrated");
+                e.slot = DETACHED;
             }
         }
         Ok(())
+    }
+
+    /// Point a migrated item's directory entry and the destination
+    /// segment's reverse map at its new inner handle.
+    fn relocate(&mut self, g: u64, slot: usize, inner: LeafHandle) {
+        let e = &mut self.dir[g as usize];
+        e.slot = slot as u32;
+        e.inner = inner;
+        self.shard_mut(slot).to_global.insert(inner.0, g);
     }
 }
 
@@ -556,7 +582,7 @@ impl<S: LabelingScheme> OrderedLabeling for ShardedScheme<S> {
     }
 
     fn next_in_order(&self, h: LeafHandle) -> Option<LeafHandle> {
-        let (slot, inner) = self.dir.get(&h.0)?.loc?;
+        let (slot, inner) = self.entry(h)?.loc()?;
         let sh = self.shard(slot);
         let mut cur = sh.scheme.next_in_order(inner);
         while let Some(ih) = cur {
@@ -578,14 +604,22 @@ impl<S: LabelingScheme> OrderedLabeling for ShardedScheme<S> {
         self.global_shift() + rank_bits
     }
 
+    /// The directory by capacity, plus each live segment's reverse map
+    /// at 24 B per entry (key, value and a word of table overhead) and
+    /// its inner scheme. The reverse maps are counted by length: under
+    /// removals a `HashMap`'s capacity depends on its random hash seed,
+    /// and the count must repeat exactly between identical runs.
     fn memory_bytes(&self) -> usize {
-        let maps = (self.dir.len() * 2) * (std::mem::size_of::<u64>() * 2 + 8);
-        let inner: usize = self
+        let dir = self.dir.capacity() * std::mem::size_of::<DirEntry>();
+        let segments: usize = self
             .order
             .iter()
-            .map(|&s| self.shard(s).scheme.memory_bytes())
+            .map(|&s| {
+                let sh = self.shard(s);
+                sh.to_global.len() * 24 + sh.scheme.memory_bytes()
+            })
             .sum();
-        std::mem::size_of::<Self>() + maps + inner
+        std::mem::size_of::<Self>() + dir + segments
     }
 }
 
@@ -727,7 +761,7 @@ impl<S: LabelingScheme> ShardedScheme<S> {
         // end): merges triggered below migrate live items but keep their
         // handles, so the position is never lost mid-run. `first` itself
         // may be a tombstone; skip to the first live handle.
-        let mut cur = Some(first).filter(|&h| self.dir[&h.0].alive);
+        let mut cur = Some(first).filter(|&h| self.dir[h.0 as usize].alive);
         if cur.is_none() {
             cur = self.next_live_after(first);
         }
@@ -787,29 +821,29 @@ impl<S: LabelingScheme> Instrumented for ShardedScheme<S> {
         }
     }
 
-    /// One entry per segment, keyed `shard0..shardN` by global rank and
-    /// sorted by name (the workspace-wide breakdown ordering contract).
-    /// Counters folded from retired (merged-away) segments appear only
-    /// in the aggregate.
-    fn stats_breakdown(&self) -> Vec<(String, SchemeStats)> {
-        let mut out: Vec<(String, SchemeStats)> = self
-            .order
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| (format!("shard{i}"), self.shard(s).scheme.scheme_stats()))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
     /// Segment metrics merged into one view: same-named counters sum,
     /// same-named histograms merge bucket-wise — so
     /// `sharded(4,traced(…))` reports one `obs/op/*` family spanning
-    /// all segments, not four disjoint ones.
-    fn metrics(&self) -> Vec<ltree_core::metrics::Metric> {
-        ltree_core::metrics::merge_metrics(
-            self.order.iter().map(|&s| self.shard(s).scheme.metrics()),
-        )
+    /// all segments, not four disjoint ones. Each live segment adds its
+    /// own cost as `seg/<i>/…` counters, `<i>` its global rank; counters
+    /// folded from retired (merged-away) segments appear only in the
+    /// aggregate. A segment's own `seg/` series (a nested `sharded`)
+    /// are dropped, so only the outermost level is reported.
+    fn metrics(&self) -> Vec<Metric> {
+        merge_metrics(self.order.iter().enumerate().map(|(i, &s)| {
+            let scheme = &self.shard(s).scheme;
+            let st = scheme.scheme_stats();
+            let mut out = scheme.metrics();
+            out.retain(|m| !m.name.starts_with("seg/"));
+            out.extend([
+                Metric::counter(format!("seg/{i}/inserts"), st.inserts),
+                Metric::counter(format!("seg/{i}/deletes"), st.deletes),
+                Metric::counter(format!("seg/{i}/label-writes"), st.label_writes),
+                Metric::counter(format!("seg/{i}/node-touches"), st.node_touches),
+                Metric::counter(format!("seg/{i}/relabel-events"), st.relabel_events),
+            ]);
+            out
+        }))
     }
 }
 
@@ -870,6 +904,7 @@ pub fn register(reg: &mut SchemeRegistry) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ltree_core::metrics::MetricValue;
     use ltree_core::{Cursor, LTree, Params, Splice};
 
     fn ltree_factory() -> impl Fn() -> Result<LTree> + Send + Sync + 'static {
@@ -888,6 +923,35 @@ mod tests {
         .unwrap()
     }
 
+    /// Segments a metrics snapshot reports: its `seg/<i>/inserts` series.
+    fn segments(s: &dyn DynScheme) -> usize {
+        s.metrics()
+            .iter()
+            .filter(|m| m.name.starts_with("seg/") && m.name.ends_with("/inserts"))
+            .count()
+    }
+
+    /// Each cost field summed over a snapshot's `seg/<i>/…` counters.
+    fn segment_sum(s: &dyn DynScheme) -> SchemeStats {
+        let mut sum = SchemeStats::default();
+        for m in s.metrics() {
+            let (Some(rest), MetricValue::Counter(v)) = (m.name.strip_prefix("seg/"), m.value)
+            else {
+                continue;
+            };
+            let field = match rest.split_once('/').map(|(_, f)| f) {
+                Some("inserts") => &mut sum.inserts,
+                Some("deletes") => &mut sum.deletes,
+                Some("label-writes") => &mut sum.label_writes,
+                Some("node-touches") => &mut sum.node_touches,
+                Some("relabel-events") => &mut sum.relabel_events,
+                other => panic!("unknown segment series {other:?}"),
+            };
+            *field += v;
+        }
+        sum
+    }
+
     fn assert_global_order(s: &ShardedScheme<LTree>, expect_live: &[LeafHandle]) {
         let mut prev: Option<u128> = None;
         let mut live = Vec::new();
@@ -897,7 +961,7 @@ mod tests {
                 assert!(p < l, "cursor out of label order ({p} >= {l})");
             }
             prev = Some(l);
-            if s.dir[&h.0].alive {
+            if s.dir[h.0 as usize].alive {
                 live.push(h);
             }
         }
@@ -1013,7 +1077,8 @@ mod tests {
         s.delete(ins).unwrap();
         let mut prev = s.scheme_stats();
         assert_eq!((prev.inserts, prev.deletes), (1, 1));
-        assert_eq!(s.stats_breakdown().len(), 4);
+        assert_eq!(segments(&s), 4);
+        assert_eq!(segment_sum(&s), prev, "no segment has retired yet");
         for &h in &hs[8..24] {
             s.delete(h).unwrap();
             let now = s.scheme_stats();
@@ -1021,9 +1086,14 @@ mod tests {
             prev = now;
         }
         assert!(s.shard_count() < 4, "merges must have retired segments");
-        assert_eq!(s.stats_breakdown().len(), s.shard_count());
+        assert_eq!(segments(&s), s.shard_count());
+        assert!(
+            prev.dominates(&segment_sum(&s)),
+            "retired segments fold into the aggregate"
+        );
         s.reset_scheme_stats();
         assert_eq!(s.scheme_stats(), SchemeStats::default());
+        assert_eq!(segment_sum(&s), SchemeStats::default());
     }
 
     #[test]
@@ -1051,6 +1121,10 @@ mod tests {
             s.label_of(LeafHandle(u64::MAX)),
             Err(LTreeError::UnknownHandle)
         ));
+        // One past the last minted handle is foreign too.
+        let past = LeafHandle(hs.len() as u64);
+        assert!(matches!(s.delete(past), Err(LTreeError::UnknownHandle)));
+        assert_eq!(s.next_in_order(past), None);
         let cfg = ShardedConfig {
             initial_shards: 0,
             ..Default::default()
@@ -1073,7 +1147,7 @@ mod tests {
         let hs = s.bulk_build(30).unwrap();
         assert_eq!(s.live_len(), 30);
         assert!(s.label_of(hs[9]).unwrap() < s.label_of(hs[10]).unwrap());
-        assert_eq!(s.stats_breakdown().len(), 3);
+        assert_eq!(segments(&*s), 3);
         // Threshold form and nesting both resolve.
         reg.build("sharded(2,16,2,ltree(4,2))").unwrap();
         reg.build("sharded(2,sharded(2,ltree))").unwrap();
@@ -1082,5 +1156,78 @@ mod tests {
         assert!(reg.build("sharded(4)").is_err(), "no inner spec");
         assert!(reg.build("sharded(2,nope)").is_err(), "inner must resolve");
         assert!(reg.build("sharded(ltree,2)").is_err(), "spec must be last");
+    }
+
+    /// A nested `sharded` reports one level: the outer segments'
+    /// `seg/` series, none of the inner ones'.
+    #[test]
+    fn nested_sharding_reports_only_the_outer_segments() {
+        let mut reg = SchemeRegistry::with_builtin();
+        register(&mut reg);
+        let mut s = reg.build("sharded(2,sharded(2,ltree(4,2)))").unwrap();
+        let hs = s.bulk_build(40).unwrap();
+        s.insert_after(hs[3]).unwrap();
+        s.insert_after(hs[30]).unwrap();
+        s.delete(hs[12]).unwrap();
+        let names: Vec<String> = s
+            .metrics()
+            .into_iter()
+            .map(|m| m.name)
+            .filter(|n| n.starts_with("seg/"))
+            .collect();
+        let fields = [
+            "deletes",
+            "inserts",
+            "label-writes",
+            "node-touches",
+            "relabel-events",
+        ];
+        let expect: Vec<String> = (0..2)
+            .flat_map(|i| fields.map(|f| format!("seg/{i}/{f}")))
+            .collect();
+        assert_eq!(names, expect);
+        assert_eq!(segment_sum(&*s), s.scheme_stats());
+    }
+
+    /// `memory_bytes` charges the directory by capacity at 16 B an
+    /// entry and each live segment's reverse map by length at 24 B an
+    /// entry, on top of the segments' own bytes — and repeats exactly
+    /// between identical runs, removals and merges included.
+    #[test]
+    fn memory_counts_the_directory_by_capacity_and_reverse_maps_by_length() {
+        assert_eq!(std::mem::size_of::<DirEntry>(), 16);
+        let run = || {
+            let mut s = small(16, 4, 4);
+            let hs = s.bulk_build(48).unwrap();
+            s.insert_many_after(hs[2], 20).unwrap();
+            for &h in &hs[20..36] {
+                s.delete(h).unwrap();
+            }
+            s
+        };
+        let s = run();
+        assert!(s.dir.capacity() > s.dir.len(), "capacity, not length");
+        let reverse: usize = s
+            .order
+            .iter()
+            .map(|&slot| s.shard(slot).to_global.len())
+            .sum();
+        assert!(
+            reverse < s.dir.len(),
+            "detached and migrated entries left the maps"
+        );
+        let inner: usize = s
+            .order
+            .iter()
+            .map(|&slot| s.shard(slot).scheme.memory_bytes())
+            .sum();
+        assert_eq!(
+            s.memory_bytes(),
+            std::mem::size_of::<ShardedScheme<LTree>>()
+                + s.dir.capacity() * 16
+                + reverse * 24
+                + inner
+        );
+        assert_eq!(run().memory_bytes(), s.memory_bytes());
     }
 }

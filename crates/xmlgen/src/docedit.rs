@@ -51,7 +51,6 @@ fn make_fragment(rng: &mut SplitMix64, k: usize) -> XmlTree {
 /// Stats cover the edit session only — the initial load is reset away,
 /// as in [`crate::workload::EditScript::replay`]. Returns the report
 /// and the scheme (recovered from the document) so callers can read its
-/// [`ltree_core::Instrumented::stats_breakdown`] and
 /// [`ltree_core::Instrumented::metrics`].
 ///
 /// ```

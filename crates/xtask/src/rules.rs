@@ -295,7 +295,7 @@ pub fn check_fixed_paths(file: &SourceFile) -> Vec<Finding> {
 // R6 · metric-names
 // ---------------------------------------------------------------------
 
-const METRIC_PREFIXES: [&str; 4] = ["net/", "wal/", "audit/", "obs/"];
+const METRIC_PREFIXES: [&str; 5] = ["net/", "wal/", "audit/", "obs/", "seg/"];
 
 /// Canonical form of a series name for the naming-table lookup: format
 /// placeholders (`{…}`) and literal digit runs both become `<i>`, so

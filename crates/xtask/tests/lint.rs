@@ -88,17 +88,20 @@ fn seeded_bad_spec_is_flagged_and_healthy_spans_are_not() {
 #[test]
 fn seeded_undocumented_metric_name_is_flagged_but_table_rows_cover_families() {
     let f = fixture("bad_metrics.rs");
-    // A miniature naming table: an exact row and an `<i>` family row.
+    // A miniature naming table: an exact row and two `<i>` family rows.
     let documented = vec![
         "net/requests".to_string(),
         "net/conn<i>/round-trips".to_string(),
+        "seg/<i>/label-writes".to_string(),
     ];
     let findings = check_metric_names(&f, &documented);
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    // (Name assembled at runtime so this test is not itself a finding.)
+    assert_eq!(findings.len(), 2, "{findings:?}");
+    // (Names assembled at runtime so this test is not itself a finding.)
     let bad = ["obs", "op", "no_such_op"].join("/");
     assert!(findings[0].message.contains(&bad), "{findings:?}");
-    assert!(findings[0].rule == "metric-names");
+    let bad_segment = ["seg", "2", "bytes-in"].join("/");
+    assert!(findings[1].message.contains(&bad_segment), "{findings:?}");
+    assert!(findings.iter().all(|f| f.rule == "metric-names"));
 }
 
 // ------------------------------------------------------------------

@@ -131,25 +131,40 @@ fn tcp_metrics_scrape_agrees_with_the_in_process_registry() {
     assert!(text.contains("quantile=\"0.99\""));
 }
 
-/// The breakdown-ordering contract (deterministic, name-sorted) holds
-/// at every collection point in the stack.
+/// The ordering contract (deterministic, name-sorted) holds at every
+/// collection point in the stack, and the per-segment `seg/<i>/…`
+/// series reach the outermost snapshot — across a wrapper and across
+/// the wire — one set per segment of the sharded layer.
 #[test]
 fn stats_breakdowns_are_name_sorted_everywhere() {
-    for spec in [
-        "checked(ltree(4,2))",
-        "sharded(4,ltree(4,2))",
-        "durable(ltree(4,2))",
-        "served(traced(ltree(4,2)))",
-        "traced(durable(gap))",
+    for (spec, segments) in [
+        ("checked(ltree(4,2))", 0),
+        ("sharded(4,ltree(4,2))", 4),
+        ("durable(ltree(4,2))", 0),
+        ("served(traced(ltree(4,2)))", 0),
+        ("traced(durable(gap))", 0),
+        ("checked(sharded(3,ltree(4,2)))", 3),
+        ("served(sharded(2,ltree(4,2)))", 2),
     ] {
         let mut s = default_registry().build(spec).unwrap();
         let hs = s.bulk_build(40).unwrap();
         s.insert_after(hs[3]).unwrap();
         s.delete(hs[7]).unwrap();
-        let names: Vec<String> = s.stats_breakdown().into_iter().map(|(n, _)| n).collect();
+        let metrics = s.metrics();
+        let names: Vec<&str> = metrics.iter().map(|m| m.name.as_str()).collect();
         let mut sorted = names.clone();
-        sorted.sort();
-        assert_eq!(names, sorted, "{spec}: breakdown must be name-sorted");
+        sorted.sort_unstable();
+        assert_eq!(names, sorted, "{spec}: metrics must be name-sorted");
+        let segs: Vec<&str> = names
+            .iter()
+            .copied()
+            .filter(|n| n.starts_with("seg/"))
+            .collect();
+        assert_eq!(segs.len(), 5 * segments, "{spec}: {segs:?}");
+        if segments > 0 {
+            assert_eq!(counter(&metrics, "seg/0/inserts"), 1, "{spec}");
+            assert_eq!(counter(&metrics, "seg/0/deletes"), 1, "{spec}");
+        }
     }
 }
 
@@ -190,9 +205,16 @@ fn sharded_merges_served_transport_counters() {
     // Per segment client: handshake, bulk build and its scrape; plus
     // the one insert.
     assert!(counter(&ms, "net/round-trips") >= 7, "{:?}", trips[0]);
-    // The breakdown stays the per-segment cost record.
-    let names: Vec<String> = s.stats_breakdown().into_iter().map(|(n, _)| n).collect();
-    assert_eq!(names, ["shard0", "shard1"]);
+    // The segment series stay the per-segment cost record: the insert
+    // landed in segment 0.
+    let segs: Vec<&str> = ms
+        .iter()
+        .map(|m| m.name.as_str())
+        .filter(|n| n.starts_with("seg/") && n.ends_with("/inserts"))
+        .collect();
+    assert_eq!(segs, ["seg/0/inserts", "seg/1/inserts"]);
+    assert_eq!(counter(&ms, "seg/0/inserts"), 1);
+    assert_eq!(counter(&ms, "seg/1/inserts"), 0);
 }
 
 /// Σ `net/conn<i>/round-trips` over a scrape: every request the server

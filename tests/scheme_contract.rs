@@ -19,6 +19,7 @@
 //! Streams come from the workspace's seeded SplitMix64; every failure
 //! reproduces from the printed `(spec, seed)` pair.
 
+use ltree::metrics::{Metric, MetricValue};
 use ltree::prelude::*;
 use ltree::rng::SplitMix64;
 use ltree::SchemeStats;
@@ -558,7 +559,7 @@ fn sharded_splices_split_at_segment_boundaries() {
     }
     // … and per-segment stats cover every live segment.
     assert_eq!(
-        batched.scheme.stats_breakdown().len(),
+        segment_count(&batched.scheme.metrics()),
         batched.scheme.shard_count()
     );
 }
@@ -723,26 +724,45 @@ fn invariants_hold_after_contract_streams() {
     v.check_invariants().unwrap();
 }
 
-/// The `stats_breakdown` sum contract: each `SchemeStats` field summed
-/// over the breakdown stays at or below the aggregate's. `None` when it
-/// holds, otherwise what broke it.
-fn breakdown_excess(aggregate: &SchemeStats, parts: &[(String, SchemeStats)]) -> Option<String> {
-    let sum = parts
+/// Segments a metrics snapshot reports: its `seg/<i>/inserts` series.
+fn segment_count(metrics: &[Metric]) -> usize {
+    metrics
         .iter()
-        .fold(SchemeStats::default(), |acc, (_, s)| SchemeStats {
-            inserts: acc.inserts + s.inserts,
-            deletes: acc.deletes + s.deletes,
-            label_writes: acc.label_writes + s.label_writes,
-            node_touches: acc.node_touches + s.node_touches,
-            relabel_events: acc.relabel_events + s.relabel_events,
-        });
-    (!aggregate.dominates(&sum))
-        .then(|| format!("breakdown sums to {sum:?}, above the aggregate {aggregate:?}"))
+        .filter(|m| m.name.starts_with("seg/") && m.name.ends_with("/inserts"))
+        .count()
 }
 
-/// After a seeded stream, every spec's breakdown sums to at most its
-/// aggregate: the breakdown holds the paper's cost per segment and
-/// nothing else (transport, log and audit counts live in `metrics()`).
+/// The per-segment sum contract: each `SchemeStats` field summed over
+/// a snapshot's `seg/<i>/…` counters stays at or below the aggregate's.
+/// `None` when it holds, otherwise what broke it.
+fn segment_excess(aggregate: &SchemeStats, metrics: &[Metric]) -> Option<String> {
+    let mut sum = SchemeStats::default();
+    for m in metrics {
+        let Some(rest) = m.name.strip_prefix("seg/") else {
+            continue;
+        };
+        let MetricValue::Counter(v) = m.value else {
+            return Some(format!("{} is not a counter", m.name));
+        };
+        let field = match rest.split_once('/').map(|(_, field)| field) {
+            Some("inserts") => &mut sum.inserts,
+            Some("deletes") => &mut sum.deletes,
+            Some("label-writes") => &mut sum.label_writes,
+            Some("node-touches") => &mut sum.node_touches,
+            Some("relabel-events") => &mut sum.relabel_events,
+            _ => return Some(format!("{} is not a segment cost series", m.name)),
+        };
+        *field += v;
+    }
+    (!aggregate.dominates(&sum))
+        .then(|| format!("segments sum to {sum:?}, above the aggregate {aggregate:?}"))
+}
+
+/// After a seeded stream, every spec's `seg/<i>/…` counters sum to at
+/// most its aggregate: they hold the paper's cost per live segment and
+/// nothing else (transport, log and audit counts have their own
+/// namespaces). The sharded specs report segments at all, and no other
+/// spec reports any.
 #[test]
 fn stats_breakdown_sums_to_at_most_the_aggregate() {
     for spec in SPECS {
@@ -755,32 +775,35 @@ fn stats_breakdown_sums_to_at_most_the_aggregate() {
             for op in &ops {
                 h.apply(op, true);
             }
-            let (aggregate, parts) = (h.scheme.scheme_stats(), h.scheme.stats_breakdown());
-            if let Some(excess) = breakdown_excess(&aggregate, &parts) {
+            let (aggregate, metrics) = (h.scheme.scheme_stats(), h.scheme.metrics());
+            if let Some(excess) = segment_excess(&aggregate, &metrics) {
                 panic!("{spec} seed {seed}: {excess}");
+            }
+            let segments = segment_count(&metrics);
+            if spec.starts_with("sharded(") {
+                assert!(segments > 0, "{spec} seed {seed}: no segment series");
+            } else {
+                assert_eq!(segments, 0, "{spec} seed {seed}: not a partitioned scheme");
             }
         }
     }
 }
 
-/// Seeded failure for the check above: one non-cost entry of the shape
-/// a transport count once took — a byte count carried in
-/// `node_touches` — appended to a real breakdown trips it.
+/// Seeded failure for the check above: a non-cost count filed as a
+/// segment's series — a byte count carried in a third segment's
+/// `node-touches`, the shape a transport count once took in the
+/// per-segment record — appended to a real snapshot trips it.
 #[test]
 fn breakdown_sum_check_fires_on_a_non_cost_entry() {
-    let mut s = build("served(ltree(4,2))");
+    let mut s = build("sharded(2,served(ltree(4,2)))");
     let hs = s.bulk_build(16).unwrap();
     s.insert_after(hs[7]).unwrap();
     let aggregate = s.scheme_stats();
-    let mut parts = s.stats_breakdown();
-    assert_eq!(breakdown_excess(&aggregate, &parts), None);
-    parts.push((
-        "net/bytes-in".into(),
-        SchemeStats {
-            node_touches: 67,
-            ..SchemeStats::default()
-        },
-    ));
-    let excess = breakdown_excess(&aggregate, &parts).expect("the check must fire");
-    assert!(excess.contains("node_touches: 67"), "{excess}");
+    let mut metrics = s.metrics();
+    assert_eq!(segment_count(&metrics), 2);
+    assert_eq!(segment_excess(&aggregate, &metrics), None);
+    metrics.push(Metric::counter("seg/2/node-touches", 67));
+    let excess = segment_excess(&aggregate, &metrics).expect("the check must fire");
+    let expect = format!("node_touches: {}", aggregate.node_touches + 67);
+    assert!(excess.contains(&expect), "{excess}");
 }
