@@ -7,8 +7,14 @@
 //! when subtrees are (re)built, so the virtual implementation
 //! (`ltree-virtual`) reproduces the materialized labels bit-for-bit — a
 //! property the integration test-suite checks exhaustively.
+//!
+//! A bulk load's labels come from [`complete_offsets`], an iterator that
+//! steps [`complete_offset`]'s digits from one leaf to the next. Its two
+//! users label as they go: `LTree`'s bulk load, in the same pass that
+//! builds the tree, and `VirtualLTree::bulk_build`, as it fills its
+//! B-tree. Neither collects the labels first.
 
-use crate::error::Result;
+use crate::error::{LTreeError, Result};
 use crate::params::Params;
 
 /// Ceiling division for `u64`, with `ceil_div(0, b) == 0`.
@@ -38,6 +44,10 @@ pub fn even_split(total: u64, pieces: u64) -> Vec<u64> {
 ///
 /// This is exactly what rebuilding a subtree and then relabeling it with
 /// the paper's `num(v) = num(u) + i · B^{h(v)}` rule produces.
+///
+/// A subtree of height `h` holds `a^h` leaves, so `r ≥ a^h` is
+/// [`LTreeError::CapacityExceeded`] (requesting `r + 1` leaves); a
+/// weight `B^{h-1}` past `u128` is [`LTreeError::LabelOverflow`].
 pub fn complete_offset(r: u64, height: u8, params: &Params) -> Result<u128> {
     let a = u64::from(params.arity());
     let base = params.base();
@@ -51,19 +61,81 @@ pub fn complete_offset(r: u64, height: u8, params: &Params) -> Result<u128> {
         if level + 1 < height {
             weight = weight
                 .checked_mul(base)
-                .ok_or(crate::LTreeError::LabelOverflow { height })?;
+                .ok_or(LTreeError::LabelOverflow { height })?;
         }
     }
-    debug_assert_eq!(rem, 0, "r must be below a^height");
+    if rem != 0 {
+        return Err(LTreeError::CapacityExceeded {
+            requested: r.saturating_add(1),
+        });
+    }
     Ok(offset)
 }
 
-/// All leaf offsets of a leftmost-complete `a`-ary subtree of height `h`
-/// holding `count` leaves, in order.
-pub fn complete_offsets(count: u64, height: u8, params: &Params) -> Result<Vec<u128>> {
-    (0..count)
-        .map(|r| complete_offset(r, height, params))
-        .collect()
+/// The offsets of the first `count` leaves of a leftmost-complete
+/// `a`-ary subtree of height `h`, in order: [`complete_offset`] of each
+/// `r < count`, with its errors, checked once up front on the last
+/// (largest) one.
+pub fn complete_offsets(count: u64, height: u8, params: &Params) -> Result<CompleteOffsets> {
+    if let Some(last) = count.checked_sub(1) {
+        complete_offset(last, height, params)?;
+    }
+    Ok(CompleteOffsets {
+        left: count,
+        offset: 0,
+        digits: [0; 64],
+        arity: params.arity(),
+        base: params.base(),
+    })
+}
+
+/// Iterator returned by [`complete_offsets`]: [`complete_offset`]'s sum
+/// kept as an odometer. Stepping from leaf `r` to `r + 1` adds 1 to
+/// digit 0, and each digit `j` that reaches `a` wraps to 0 and carries 1
+/// into digit `j + 1`, which adds `B^{j+1} − a · B^j = (B − a) · B^j` to
+/// the offset. That is amortized `O(1)` per offset, with no division.
+#[derive(Debug, Clone)]
+pub struct CompleteOffsets {
+    /// Offsets still to yield.
+    left: u64,
+    /// The next offset to yield.
+    offset: u128,
+    /// The base-`a` digits of the next leaf's index `r`, least
+    /// significant first: `r < 2^64 ≤ a^64`.
+    digits: [u32; 64],
+    arity: u32,
+    base: u128,
+}
+
+impl Iterator for CompleteOffsets {
+    type Item = u128;
+
+    fn next(&mut self) -> Option<u128> {
+        self.left = self.left.checked_sub(1)?;
+        let out = self.offset;
+        if self.left > 0 {
+            // The leaf after this one is below `a^h`, so at most `h − 1`
+            // digits wrap, and the weights stay within the `B^{h-1}` the
+            // up-front check computed.
+            self.offset += 1;
+            let mut weight = 1u128;
+            for digit in &mut self.digits {
+                *digit += 1;
+                if *digit < self.arity {
+                    break;
+                }
+                *digit = 0;
+                self.offset += weight * (self.base - u128::from(self.arity));
+                weight *= self.base;
+            }
+        }
+        Some(out)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let left = usize::try_from(self.left).ok();
+        (left.unwrap_or(usize::MAX), left)
+    }
 }
 
 /// Result of planning a root rebuild: the new tree height and the label of
@@ -152,7 +224,7 @@ impl RootRebuild {
 /// leftmost-complete `a`-ary tree of minimal height.
 pub fn bulk_load_labels(params: &Params, n: u64) -> Result<(u8, Vec<u128>)> {
     let height = params.height_for(n);
-    let labels = complete_offsets(n, height, params)?;
+    let labels = complete_offsets(n, height, params)?.collect();
     Ok((height, labels))
 }
 
@@ -236,9 +308,66 @@ mod tests {
     }
 
     #[test]
-    fn complete_offset_rejects_out_of_range_in_debug() {
+    fn complete_offset_rejects_out_of_range() {
         let p = p42();
-        // r = 7 < 2^3: fine.
-        assert!(complete_offset(7, 3, &p).is_ok());
+        // r = 7 < 2^3: the last leaf of a height-3 subtree.
+        assert_eq!(complete_offset(7, 3, &p), Ok(31));
+        // r = 8 would wrap to r = 0's offset.
+        assert_eq!(
+            complete_offset(8, 3, &p),
+            Err(LTreeError::CapacityExceeded { requested: 9 })
+        );
+        assert_eq!(
+            complete_offset(u64::MAX, 3, &p),
+            Err(LTreeError::CapacityExceeded {
+                requested: u64::MAX
+            })
+        );
+        assert_eq!(
+            complete_offset(1, 0, &p),
+            Err(LTreeError::CapacityExceeded { requested: 2 })
+        );
+        assert!(complete_offsets(9, 3, &p).is_err());
+        assert_eq!(complete_offsets(0, 0, &p).unwrap().count(), 0);
+    }
+
+    /// Every offset of a full subtree of height `h`, stepped, against
+    /// [`complete_offset`] for the same leaf.
+    fn assert_stepped_offsets_match(p: &Params, h: u8) {
+        let full = p.subtree_capacity(h);
+        let mut stepped = complete_offsets(full, h, p).unwrap();
+        assert_eq!(stepped.size_hint(), (full as usize, Some(full as usize)));
+        for r in 0..full {
+            let expect = complete_offset(r, h, p).unwrap();
+            assert_eq!(stepped.next(), Some(expect), "{p} h={h} r={r}");
+        }
+        assert_eq!(stepped.next(), None);
+        assert_eq!(
+            complete_offsets(full + 1, h, p).unwrap_err(),
+            LTreeError::CapacityExceeded {
+                requested: full + 1
+            }
+        );
+    }
+
+    #[test]
+    fn stepped_offsets_match_complete_offset_per_preset() {
+        for p in Params::presets() {
+            for h in 0..=6 {
+                assert_stepped_offsets_match(&p, h);
+            }
+        }
+    }
+
+    /// At `(64,32)` (`B = 65`, `a = 2`) the offsets pass `2^64` from
+    /// height 12 on.
+    #[test]
+    fn stepped_offsets_match_past_two_to_the_64() {
+        let p = Params::new(64, 32).unwrap();
+        for h in 0..=12 {
+            assert_stepped_offsets_match(&p, h);
+        }
+        let last = complete_offsets(1 << 12, 12, &p).unwrap().last().unwrap();
+        assert!(last > u128::from(u64::MAX));
     }
 }

@@ -33,6 +33,11 @@ pub struct Params {
 /// derived arithmetic trivially overflow-free.
 pub const MAX_F: u32 = 1 << 16;
 
+/// The largest [`Params::max_height`] of any valid parameters: `s ≥ 2`
+/// and `f/s ≥ 2` make `B = 5` the smallest base, and
+/// `5^55 < 2^128 < 5^56`.
+pub(crate) const MAX_HEIGHT: u8 = 55;
+
 impl Params {
     /// Create a parameter set, validating the paper's requirements:
     /// `s ≥ 2`, `f % s == 0`, `f / s ≥ 2` and `f ≤ MAX_F`.
@@ -227,6 +232,10 @@ mod tests {
         let h = p.max_height();
         assert!(p.interval(h).is_ok());
         assert!(p.interval(h + 1).is_err());
+        assert_eq!(h, MAX_HEIGHT, "the smallest base has the most levels");
+        assert!(Params::presets()
+            .iter()
+            .all(|p| p.max_height() <= MAX_HEIGHT));
     }
 
     #[test]

@@ -732,10 +732,12 @@ impl OrderedLabelingMut for crate::LTree {
         if !self.is_empty() {
             return Err(crate::LTreeError::NotEmpty);
         }
-        // Rebuild in place via the constructor path.
-        let (tree, leaves) = crate::LTree::bulk_load(self.params(), n)?;
+        // Build into a fresh tree, as `LTree::bulk_load` does, so the
+        // pools start empty.
+        let mut tree = crate::LTree::new(self.params());
+        let handles = tree.bulk_build_leaves(n, |l| LeafHandle(l.to_u64()))?;
         *self = tree;
-        Ok(leaves.into_iter().map(|l| LeafHandle(l.to_u64())).collect())
+        Ok(handles)
     }
 
     fn insert_first(&mut self) -> Result<LeafHandle> {

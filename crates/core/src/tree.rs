@@ -4,7 +4,9 @@
 //! and maintains the global labeling invariant
 //! `num(child_i) = num(parent) + i · B^{h(child)}` with `B = f + 1`.
 //!
-//! * [`LTree::bulk_load`] — Section 2.2: a leftmost-complete `f/s`-ary tree.
+//! * [`LTree::bulk_load`] — Section 2.2: a leftmost-complete `f/s`-ary
+//!   tree, built and labelled in one left-to-right pass over the leaves
+//!   (labels from [`crate::layout::complete_offsets`]).
 //! * [`LTree::insert_after`] / [`LTree::insert_before`] — Section 2.3,
 //!   Algorithm 1: sibling relabel, or split of the highest overfull
 //!   ancestor into `s` half-full subtrees, renumbering only the pieces
@@ -24,14 +26,19 @@
 //! higher bits in a column the store opens for the first wider label;
 //! the write path derives the interior numbers it needs from one leaf
 //! label (see `insert_leaves_at`).
+//!
+//! Every leftmost-complete subtree (a bulk load, `compact`, a split's
+//! pieces, a root rebuild's pieces) is built by one pass over its leaves
+//! in order that keeps one open interior record per level, so building
+//! allocates no per-node memory (see `LTree::build_complete`).
 
 use std::cmp::Ordering;
 
 use crate::error::{LTreeError, Result};
 use crate::invariants::{self, InvariantError};
 use crate::label::Label;
-use crate::layout::{ceil_div, even_split, RootRebuild};
-use crate::params::Params;
+use crate::layout::{ceil_div, complete_offsets, even_split, RootRebuild};
+use crate::params::{Params, MAX_HEIGHT};
 use crate::snapshot::StructureEvent;
 use crate::stats::Stats;
 use crate::store::{InteriorRec, LeafRec, Store, MAX_LEAVES, NIL};
@@ -100,11 +107,21 @@ impl LTree {
     /// slack. Returns the tree and the leaves in document order.
     pub fn bulk_load(params: Params, n: usize) -> Result<(Self, Vec<LeafId>)> {
         let mut tree = LTree::new(params);
-        let leaves = tree.bulk_build_leaves(n)?;
+        let leaves = tree.bulk_build_leaves(n, |leaf| leaf)?;
         Ok((tree, leaves))
     }
 
-    fn bulk_build_leaves(&mut self, n: usize) -> Result<Vec<LeafId>> {
+    /// Bulk load `n` leaves into this empty tree, returning `handle` of
+    /// each in document order. One pass allocates each leaf record,
+    /// writes its label from [`complete_offsets`] and hangs it in the
+    /// tree (see [`build_complete`](Self::build_complete)); the labels
+    /// are the ones the invariant gives this shape, so no renumbering
+    /// walk follows.
+    pub(crate) fn bulk_build_leaves<T>(
+        &mut self,
+        n: usize,
+        handle: impl Fn(LeafId) -> T,
+    ) -> Result<Vec<T>> {
         if self.n_leaves > 0 {
             return Err(LTreeError::NotEmpty);
         }
@@ -112,34 +129,37 @@ impl LTree {
             return Ok(Vec::new());
         }
         let n64 = n as u64;
-        let mut ids = self.reserve_leaves(n)?;
+        let mut out = self.reserve_leaves(n)?;
         let height = self.params.height_for(n64);
         if height > self.params.max_height() {
             return Err(LTreeError::LabelOverflow { height });
         }
-        // Replace the empty placeholder root; the leaves get their parent
-        // links when `build_complete` adopts them.
+        let labels = complete_offsets(n64, height, &self.params)?;
+        // Replace the empty placeholder root.
         self.store.free_node(self.root);
-        ids.extend((0..n).map(|_| self.store.alloc_leaf(NIL)));
-        let leaves: Vec<u32> = ids.iter().map(|id| id.idx).collect();
-        let root = self.build_complete(height, &leaves);
-        self.root = root;
+        let mut build = Builder::new(&self.params, height);
+        for label in labels {
+            let leaf = self.store.alloc_leaf(NIL);
+            self.store.set_label(leaf.idx, label);
+            build.push(&mut self.store, leaf.idx);
+            out.push(handle(leaf));
+        }
+        self.root = build.finish(&mut self.store, &mut self.stats);
         self.height = height;
         self.n_leaves = n64;
         self.n_live = n64;
-        self.renumber(root, height, 0)?;
         // Bulk loading is not an update: it should not pollute the
         // amortized-cost counters the experiments read.
         self.stats.reset();
-        Ok(ids)
+        Ok(out)
     }
 
     /// Room for `k` more leaves, or [`LTreeError::CapacityExceeded`]
     /// before anything changes: the total must fit the `u32` record index
     /// space, and the record pool (with its high-word column, if open)
-    /// and the returned id vector (empty, with capacity `k`) are reserved
+    /// and the returned vector (empty, with capacity `k`) are reserved
     /// up front.
-    fn reserve_leaves(&mut self, k: usize) -> Result<Vec<LeafId>> {
+    fn reserve_leaves<T>(&mut self, k: usize) -> Result<Vec<T>> {
         let requested = k as u64;
         let exceeded = LTreeError::CapacityExceeded { requested };
         let total = match self.n_leaves.checked_add(requested) {
@@ -720,25 +740,25 @@ impl LTree {
     }
 
     /// Build a leftmost-complete `a`-ary subtree of exactly `height` over
-    /// the given leaf records (chunks of `a^(height-1)` per child).
-    /// Numbers are assigned by a later relabel pass.
+    /// the given leaf records, in one pass over them (see [`Builder`]):
+    /// each child of a record holds `a^(h-1)` leaves, but the last, which
+    /// holds what remains. Counts one `nodes_visited` per record, like
+    /// [`make_internal`](Self::make_internal). Numbers are assigned by a
+    /// later relabel pass; a bulk load drives the same [`Builder`] and
+    /// writes each label as it goes instead.
     fn build_complete(&mut self, height: u8, leaves: &[u32]) -> u32 {
-        debug_assert!(height >= 1 && !leaves.is_empty());
+        debug_assert!(!leaves.is_empty());
         debug_assert!(leaves.len() as u64 <= self.params.subtree_capacity(height));
-        if height == 1 {
-            return self.make_internal(1, leaves);
+        let mut build = Builder::new(&self.params, height);
+        for &leaf in leaves {
+            build.push(&mut self.store, leaf);
         }
-        let cap = self.params.subtree_capacity(height - 1);
-        let cap = usize::try_from(cap).unwrap_or(usize::MAX).max(1);
-        let children: Vec<u32> = leaves
-            .chunks(cap)
-            .map(|chunk| self.build_complete(height - 1, chunk))
-            .collect();
-        self.make_internal(height, &children)
+        build.finish(&mut self.store, &mut self.stats)
     }
 
     /// Allocate an interior record at `height` adopting `children` (leaf
-    /// records at height 1, interior records above) in order.
+    /// records at height 1, interior records above) in order: a root
+    /// rebuild's grouping levels and new root.
     fn make_internal(&mut self, height: u8, children: &[u32]) -> u32 {
         let id = self.store.alloc_node(height);
         let mut leaf_count = 0u32;
@@ -946,6 +966,126 @@ impl LTree {
     }
 }
 
+/// A leftmost-complete subtree under construction (see
+/// [`LTree::build_complete`]). Leaves arrive in document order. Each
+/// level has at most one open interior record, which adopts children as
+/// they come and closes once it has `a`: its first child, fanout and leaf
+/// count are written then, and its leaves fold into its parent's. The
+/// next child at that level opens a new record. The record at the top
+/// height never closes early: it takes what remains. A record is
+/// allocated when its first leaf arrives, after its parent, so every
+/// child is hung under its parent at once, and the open records fit a
+/// fixed array of [`MAX_HEIGHT`] levels.
+struct Builder {
+    arity: u32,
+    height: u8,
+    /// Levels `1..=closed` have no open record: the next leaf opens them.
+    closed: u8,
+    /// `open[h - 1]`: the open record at height `h`.
+    open: [Open; MAX_HEIGHT as usize],
+    /// Interior records allocated.
+    created: u64,
+}
+
+/// An open record of a [`Builder`] and what it has adopted so far; the
+/// record itself is written when it closes.
+#[derive(Clone, Copy)]
+struct Open {
+    id: u32,
+    first: u32,
+    last: u32,
+    fanout: u32,
+    leaves: u32,
+}
+
+impl Open {
+    /// Record `id`, with no children yet.
+    const fn new(id: u32) -> Self {
+        Open {
+            id,
+            first: NIL,
+            last: NIL,
+            fanout: 0,
+            leaves: 0,
+        }
+    }
+}
+
+impl Builder {
+    fn new(params: &Params, height: u8) -> Self {
+        debug_assert!(height >= 1 && height <= params.max_height());
+        Builder {
+            arity: params.arity(),
+            height,
+            closed: height,
+            open: [Open::new(NIL); MAX_HEIGHT as usize],
+            created: 0,
+        }
+    }
+
+    /// Hang leaf record `leaf` after the leaves pushed so far.
+    fn push(&mut self, store: &mut Store, leaf: u32) {
+        // Open the records the leaf's path lacks, top-down.
+        while self.closed > 0 {
+            let h = self.closed;
+            let id = store.alloc_node(h);
+            self.created += 1;
+            if h < self.height {
+                self.attach(store, h + 1, id, 0);
+            }
+            self.open[usize::from(h) - 1] = Open::new(id);
+            self.closed -= 1;
+        }
+        self.attach(store, 1, leaf, 1);
+        // Close the full records, bottom-up.
+        let mut h = 1;
+        while h < self.height && self.open[usize::from(h) - 1].fanout == self.arity {
+            self.close(store, h);
+            self.closed = h;
+            h += 1;
+        }
+    }
+
+    /// Hang `child`, holding `leaves` leaves so far, after the last
+    /// child of the open record at height `h`.
+    fn attach(&mut self, store: &mut Store, h: u8, child: u32, leaves: u32) {
+        let open = &mut self.open[usize::from(h) - 1];
+        store.adopt(child, h - 1, open.id, NIL);
+        match open.last {
+            NIL => open.first = child,
+            prev => store.set_next(prev, h - 1, child),
+        }
+        open.last = child;
+        open.fanout += 1;
+        open.leaves += leaves;
+    }
+
+    /// Write the open record at height `h` and fold its leaves into its
+    /// parent's, if it has one.
+    fn close(&mut self, store: &mut Store, h: u8) {
+        let open = self.open[usize::from(h) - 1];
+        let node = store.node_mut(open.id);
+        node.first = open.first;
+        node.fanout = open.fanout;
+        node.leaf_count = open.leaves;
+        if h < self.height {
+            self.open[usize::from(h)].leaves += open.leaves;
+        }
+    }
+
+    /// Close every record still open and count the records allocated
+    /// as visited. Returns the subtree's root, which has no parent or
+    /// sibling yet.
+    fn finish(mut self, store: &mut Store, stats: &mut Stats) -> u32 {
+        debug_assert!(self.closed < self.height, "no leaf was pushed");
+        for h in self.closed + 1..=self.height {
+            self.close(store, h);
+        }
+        stats.nodes_visited += self.created;
+        self.open[usize::from(self.height) - 1].id
+    }
+}
+
 impl std::fmt::Debug for LTree {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LTree")
@@ -1018,17 +1158,36 @@ mod tests {
         }
     }
 
+    /// The one-pass builder against the layout module at every preset
+    /// and every size up to 64: the invariant checker derives each
+    /// number from the shape alone (check 5), and the labels must equal
+    /// `bulk_load_labels`, after a bulk load and after `compact()` drops
+    /// every third leaf.
     #[test]
     fn bulk_load_matches_layout_module() {
-        let p = Params::new(8, 2).unwrap();
-        let (tree, leaves) = LTree::bulk_load(p, 100).unwrap();
-        let (h, expect) = crate::layout::bulk_load_labels(&p, 100).unwrap();
-        assert_eq!(tree.height(), h);
-        let got: Vec<u128> = leaves
-            .iter()
-            .map(|&l| tree.label(l).unwrap().get())
-            .collect();
-        assert_eq!(got, expect);
+        for p in Params::presets() {
+            for n in 0..=64 {
+                let (mut tree, leaves) = LTree::bulk_load(p, n).unwrap();
+                tree.check_invariants().unwrap();
+                let (h, expect) = crate::layout::bulk_load_labels(&p, n as u64).unwrap();
+                assert_eq!(tree.height(), h, "{p} n={n}");
+                let got: Vec<u128> = leaves
+                    .iter()
+                    .map(|&l| tree.label(l).unwrap().get())
+                    .collect();
+                assert_eq!(got, expect, "{p} n={n}");
+                assert_eq!(labels_of(&tree), expect, "{p} n={n}");
+
+                for &leaf in leaves.iter().step_by(3) {
+                    tree.delete(leaf).unwrap();
+                }
+                let live = tree.live_len();
+                tree.compact().unwrap();
+                tree.check_invariants().unwrap();
+                let (_, expect) = crate::layout::bulk_load_labels(&p, live as u64).unwrap();
+                assert_eq!(labels_of(&tree), expect, "{p} n={n} compacted");
+            }
+        }
     }
 
     #[test]

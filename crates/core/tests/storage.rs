@@ -12,8 +12,11 @@
 //!   earlier recording);
 //! * a split renumbers only its pieces and the siblings to their right;
 //! * a rejected `compact()` changes nothing;
-//! * a space ceiling on `memory_bytes() / live_len()` at n₀ = 10⁵.
+//! * a space ceiling on `memory_bytes() / live_len()` at n₀ = 10⁵;
+//! * the one-pass builder at large sizes: bulk loads and compactions
+//!   pass the invariant checker and carry `layout::bulk_load_labels`.
 
+use ltree_core::layout::bulk_load_labels;
 use ltree_core::rng::SplitMix64;
 use ltree_core::{snapshot, LTree, LTreeError, LeafId, Params, Stats};
 
@@ -204,6 +207,35 @@ fn bytes_per_live_item_stay_under_the_ceiling() {
     }
     let per_item = tree.memory_bytes() as f64 / tree.live_len() as f64;
     assert!(per_item <= 70.0, "{per_item:.1} B per live item");
+}
+
+/// 4,097 and 65,537 leaves at every preset, and `ltbench`'s 10⁵ at
+/// `(4,2)`. Each bulk load passes the invariant checker, whose check 5
+/// derives every number from the shape, and carries the layout module's
+/// labels; so does its `compact()` once every third leaf is tombstoned.
+#[test]
+fn large_bulk_loads_and_compactions_match_the_layout_module() {
+    let mut shapes: Vec<(Params, usize)> = Params::presets()
+        .into_iter()
+        .flat_map(|p| [(p, 4_097), (p, 65_537)])
+        .collect();
+    shapes.push((Params::new(4, 2).unwrap(), 100_000));
+    for (params, n) in shapes {
+        let (mut tree, leaves) = LTree::bulk_load(params, n).unwrap();
+        tree.check_invariants().unwrap();
+        let (height, expect) = bulk_load_labels(&params, n as u64).unwrap();
+        assert_eq!(tree.height(), height, "{params} n={n}");
+        assert!(labels(&tree) == expect, "{params} n={n}: bulk-load labels");
+
+        for &leaf in leaves.iter().step_by(3) {
+            tree.delete(leaf).unwrap();
+        }
+        let live = tree.live_len();
+        tree.compact().unwrap();
+        tree.check_invariants().unwrap();
+        let (_, expect) = bulk_load_labels(&params, live as u64).unwrap();
+        assert!(labels(&tree) == expect, "{params} n={n}: compacted labels");
+    }
 }
 
 /// In `Params::presets()` order. Recorded from an earlier implementation

@@ -31,7 +31,7 @@
 #![deny(missing_docs)]
 
 use counted_btree::CountedBTree;
-use ltree_core::layout::{ceil_div, complete_offset, even_split, RootRebuild};
+use ltree_core::layout::{ceil_div, complete_offset, complete_offsets, even_split, RootRebuild};
 use ltree_core::registry::SchemeRegistry;
 use ltree_core::{
     BatchLabeling, Instrumented, LTreeError, LeafHandle, OrderedLabeling, OrderedLabelingMut,
@@ -495,10 +495,11 @@ impl OrderedLabelingMut for VirtualLTree {
             return Err(LTreeError::NotEmpty);
         }
         let mut out = self.reserve_items(n)?;
-        let (height, labels) = ltree_core::layout::bulk_load_labels(&self.params, n as u64)?;
+        let height = self.params.height_for(n as u64);
+        let labels = complete_offsets(n as u64, height, &self.params)?;
         self.height = height;
         let mut batch = Vec::with_capacity(n);
-        for (j, label) in labels.into_iter().enumerate() {
+        for (j, label) in labels.enumerate() {
             self.items.push(VItem {
                 label,
                 deleted: false,
